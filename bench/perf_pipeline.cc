@@ -21,8 +21,11 @@
  * at batch 1024 at least 5x faster than the scalar kernel (best of
  * --gate-reps runs each; in-memory so the gate measures the
  * transition kernels, not trace-file parsing). The verdict lands in
- * the JSON "kernel_gate" block and a miss fails the run;
- * tools/check_bench_pipeline.py re-checks it from the JSON.
+ * the JSON "kernel_gate" block and a miss fails the full run;
+ * tools/check_bench_pipeline.py re-checks it from the JSON. Under
+ * --smoke (the ctest, often run beside a loaded `ctest -j`) the gate
+ * is advisory: speedup and verdict are still reported, but a miss
+ * does not fail the run, because host load must not decide a test.
  *
  * Two robustness pins ride along (docs/ROBUSTNESS.md): a
  * checkpoint/resume pin per kernel (a run snapshotting every
@@ -488,8 +491,9 @@ main(int argc, char **argv)
     const double speedup =
         best_ms[1] > 0.0 ? best_ms[0] / best_ms[1] : 0.0;
     const bool gate_passed = speedup >= gate_threshold;
-    std::printf("  speedup %.1fx (gate: >= %.0fx) -> %s\n", speedup,
-                gate_threshold, gate_passed ? "PASS" : "FAIL");
+    std::printf("  speedup %.1fx (gate: >= %.0fx) -> %s%s\n", speedup,
+                gate_threshold, gate_passed ? "PASS" : "FAIL",
+                smoke ? " (advisory under --smoke)" : "");
 
     {
         char gate_json[512];
@@ -499,9 +503,10 @@ main(int argc, char **argv)
             "{\"kernel\": \"scalar\", \"wall_ms\": %.3f}, "
             "{\"kernel\": \"packed\", \"wall_ms\": %.3f}], "
             "\"speedup\": %.3f, \"threshold\": %.1f, "
-            "\"passed\": %s}",
+            "\"passed\": %s, \"smoke\": %s}",
             gate_reps, best_ms[0], best_ms[1], speedup,
-            gate_threshold, gate_passed ? "true" : "false");
+            gate_threshold, gate_passed ? "true" : "false",
+            smoke ? "true" : "false");
         meta.addSection("kernel_gate", gate_json);
     }
     {
@@ -585,7 +590,7 @@ main(int argc, char **argv)
         std::remove(trace_path.c_str());
         std::remove(ckpt_path.c_str());
     }
-    if (!gate_passed) {
+    if (!gate_passed && !smoke) {
         std::fprintf(stderr,
                      "FAIL: packed kernel speedup %.2fx is below "
                      "the %.0fx gate\n",

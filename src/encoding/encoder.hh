@@ -66,12 +66,14 @@ class BusEncoder
      * sequential encode() calls would. The spans must be the same
      * size and may not alias.
      *
-     * The base implementation is the per-word loop; the hot schemes
-     * (Unencoded, BusInvert, OddEvenBusInvert,
-     * CouplingDrivenBusInvert) override it with devirtualized loops
-     * that hoist the latched state into locals. Every override is
-     * bit-identical to the per-word path (pinned by
-     * tests/sim/test_pipeline_batch.cc).
+     * The base implementation is the per-word loop. BusInvert,
+     * OddEvenBusInvert and CouplingDrivenBusInvert override it with
+     * devirtualized loops that hoist the latched state into locals;
+     * Unencoded, Gray and Offset override it with element-wise loops
+     * over the whole batch. Every override is bit-identical to the
+     * per-word path, pinned by
+     * tests/encoding/test_encode_batch_edges.cc and
+     * tests/sim/test_pipeline_batch.cc.
      */
     virtual void encodeBatch(std::span<const uint64_t> data,
                              std::span<uint64_t> bus);

@@ -6,7 +6,6 @@
 #include "util/bitops.hh"
 #include "util/contracts.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace nanobus {
 
@@ -44,8 +43,9 @@ UnencodedBus::encodeBatch(std::span<const uint64_t> data,
                           std::span<uint64_t> bus)
 {
     expectBatchSpans(data, bus);
-    // Stateless element-wise masking: the whole batch vectorizes.
-    simd::maskInto(bus.data(), data.data(), data_mask_, data.size());
+    // Stateless element-wise masking over the whole batch.
+    for (size_t k = 0; k < data.size(); ++k)
+        bus[k] = data[k] & data_mask_;
     if (!bus.empty())
         last_bus_ = bus[bus.size() - 1];
 }
@@ -330,9 +330,13 @@ GrayEncoder::encodeBatch(std::span<const uint64_t> data,
 {
     expectBatchSpans(data, bus);
     // Gray coding is stateless and element-wise, so the batch is one
-    // vectorized pass; grayInto masks each input before the shift,
-    // matching encode()'s toGray(data & mask) word for word.
-    simd::grayInto(bus.data(), data.data(), data_mask_, data.size());
+    // vectorizable pass. Each input is masked *before* the shift, as
+    // in encode()'s toGray(data & mask): a stray bit at position
+    // `width` would otherwise leak into result bit width-1.
+    for (size_t k = 0; k < data.size(); ++k) {
+        const uint64_t t = data[k] & data_mask_;
+        bus[k] = t ^ (t >> 1);
+    }
 }
 
 uint64_t
@@ -518,8 +522,9 @@ OffsetEncoder::encodeBatch(std::span<const uint64_t> data,
     // redundant: subtraction mod 2^64 then & mask equals subtraction
     // mod 2^width. State hoists to the edges: the held word seeds
     // element 0 and the final masked input becomes the new held word.
-    simd::diffInto(bus.data(), data.data(), last_data_tx_,
-                   data_mask_, data.size());
+    bus[0] = (data[0] - last_data_tx_) & data_mask_;
+    for (size_t k = 1; k < data.size(); ++k)
+        bus[k] = (data[k] - data[k - 1]) & data_mask_;
     last_data_tx_ = data[data.size() - 1] & data_mask_;
 }
 

@@ -5,7 +5,6 @@
 #include "energy/transition.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace nanobus {
 
@@ -36,22 +35,26 @@ PackedTransitionCounts::process(std::span<const uint64_t> words)
     // lane — the stale-tail defense pinned by
     // tests/energy/test_packed_kernel.cc.
     uint64_t lanes[64];
-    uint64_t carry[64];
     uint64_t trans[64];
     while (base < n) {
         const size_t m = std::min<size_t>(64, n - base);
-        simd::maskInto(lanes, words.data() + base, word_mask_, m);
+        for (size_t k = 0; k < m; ++k)
+            lanes[k] = words[base + k] & word_mask_;
         std::fill(lanes + m, lanes + 64, 0ull);
         const uint64_t next_prev = lanes[m - 1];
         transposeBits64(lanes);
 
-        for (unsigned i = 0; i < width_; ++i)
-            carry[i] = (prev_word_ >> i) & 1ull;
+        // Transition lanes: a line toggles at cycle k when its bit
+        // differs from cycle k-1's; the held word's bit stands in for
+        // cycle -1, and cycles past the block's end are masked off.
         const uint64_t cycle_mask =
             lowMask(static_cast<unsigned>(m));
-        simd::transitionLanes(trans, lanes, carry, cycle_mask,
-                              width_);
-        simd::accumulatePopcounts(self_.data(), trans, width_);
+        for (unsigned i = 0; i < width_; ++i) {
+            const uint64_t carry = (prev_word_ >> i) & 1ull;
+            trans[i] =
+                (lanes[i] ^ ((lanes[i] << 1) | carry)) & cycle_mask;
+            self_[i] += popcount(trans[i]);
+        }
 
         // Pair deviations: only cycles where *both* lines moved
         // contribute (+1 toggle, -1 same-direction), so lines that

@@ -77,7 +77,7 @@ struct RecordBatch
  * provides `add(uint64_t cycle, uint32_t address)` appending to its
  * u64 cycle/address lanes (fabric's BusBatch is the canonical one);
  * widening to u64 happens here so downstream encode stages consume
- * the lanes directly with the SIMD batch kernels (util/simd.hh).
+ * the lanes directly with their batch loops (encodeBatch).
  * Record order is preserved within each sink, which is what keeps
  * batched ingest bit-identical to per-record routing.
  */

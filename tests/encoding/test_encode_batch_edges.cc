@@ -3,12 +3,13 @@
  * Edge-case coverage for BusEncoder::encodeBatch on the schemes that
  * override it: the devirtualized state-hoisted loops (BusInvert,
  * OddEvenBusInvert, CouplingDrivenBusInvert) and the element-wise
- * SIMD fast paths (Unencoded, Gray, Offset — util/simd.hh). Empty
- * batches, the width-1 degenerate bus, all-repeated-word batches,
- * and inputs with garbage above the data width. Every case asserts
- * not only the emitted bus words but that the encoder's latched
- * state afterwards equals the per-word path's state — the
- * hoist-restore bookkeeping is exactly what these corners stress.
+ * lane loops (Unencoded, Gray, Offset). Empty batches, the width-1
+ * degenerate bus, all-repeated-word batches, batches after a
+ * stateful prefix, and inputs with garbage above the data width.
+ * Every case asserts not only the emitted bus words but that the
+ * encoder's latched state afterwards equals the per-word path's
+ * state — the hoist-restore bookkeeping is exactly what these
+ * corners stress.
  *
  * The kernel-state pins at the bottom drive whole BusSimulators
  * (Scalar vs Packed energy kernel) through interval-straddling
@@ -24,6 +25,8 @@
 
 #include "encoding/encoder.hh"
 #include "fabric/bus_sim.hh"
+#include "util/bitops.hh"
+#include "util/random.hh"
 
 namespace nanobus {
 namespace {
@@ -133,8 +136,12 @@ TEST(EncodeBatchEdges, RepeatedWordsAfterStatefulPrefix)
     // Split point inside a repeated run: encode a noisy prefix
     // per-word, then the repeated tail as one batch, and require the
     // state to match the pure per-word path. Catches overrides that
-    // re-derive state from the batch instead of the latch.
-    for (EncodingScheme scheme : invertFamily()) {
+    // re-derive state from the batch instead of the latch — for
+    // Offset, the batch's first difference must be seeded from the
+    // held word (0x55), not from zero or the batch itself.
+    std::vector<EncodingScheme> schemes = invertFamily();
+    schemes.push_back(EncodingScheme::Offset);
+    for (EncodingScheme scheme : schemes) {
         SCOPED_TRACE(schemeName(scheme));
         std::unique_ptr<BusEncoder> batched = makeEncoder(scheme, 8);
         std::unique_ptr<BusEncoder> ref = makeEncoder(scheme, 8);
@@ -149,10 +156,10 @@ TEST(EncodeBatchEdges, RepeatedWordsAfterStatefulPrefix)
 }
 
 // ------------------------------------------------------------------ //
-// The element-wise SIMD fast paths (Unencoded, Gray, Offset).
+// The element-wise lane loops (Unencoded, Gray, Offset).
 
 const std::vector<EncodingScheme> &
-simdFamily()
+elementwiseFamily()
 {
     static const std::vector<EncodingScheme> schemes = {
         EncodingScheme::Unencoded,
@@ -164,7 +171,7 @@ simdFamily()
 
 TEST(EncodeBatchSimd, EmptyBatchLeavesStateUntouched)
 {
-    for (EncodingScheme scheme : simdFamily()) {
+    for (EncodingScheme scheme : elementwiseFamily()) {
         SCOPED_TRACE(schemeName(scheme));
         std::unique_ptr<BusEncoder> batched = makeEncoder(scheme, 32);
         std::unique_ptr<BusEncoder> ref = makeEncoder(scheme, 32);
@@ -181,7 +188,7 @@ TEST(EncodeBatchSimd, WidthOneBus)
         {1, 1, 1, 1, 1},
         {0, 0, 1, 1, 1, 0},
     };
-    for (EncodingScheme scheme : simdFamily()) {
+    for (EncodingScheme scheme : elementwiseFamily()) {
         for (size_t s = 0; s < streams.size(); ++s) {
             SCOPED_TRACE(testing::Message()
                          << schemeName(scheme) << " stream " << s);
@@ -196,7 +203,7 @@ TEST(EncodeBatchSimd, WidthOneBus)
 
 TEST(EncodeBatchSimd, RepeatedWordsBatch)
 {
-    for (EncodingScheme scheme : simdFamily()) {
+    for (EncodingScheme scheme : elementwiseFamily()) {
         SCOPED_TRACE(schemeName(scheme));
         std::unique_ptr<BusEncoder> batched = makeEncoder(scheme, 16);
         std::unique_ptr<BusEncoder> ref = makeEncoder(scheme, 16);
@@ -208,10 +215,10 @@ TEST(EncodeBatchSimd, RepeatedWordsBatch)
 TEST(EncodeBatchSimd, GarbageAboveDataWidthIsMasked)
 {
     // Inputs with every bit above the data width set: the batch
-    // paths mask inside the lane ops (grayInto masks *before* its
-    // shift) and must match the per-word encode() exactly. Length 70
-    // covers several full vector registers plus a tail.
-    for (EncodingScheme scheme : simdFamily()) {
+    // loops mask each word (Gray *before* its shift) and must match
+    // the per-word encode() exactly. Length 70 is an odd run, so no
+    // unrolled loop can hide a mishandled tail.
+    for (EncodingScheme scheme : elementwiseFamily()) {
         for (unsigned width : {1u, 7u, 31u, 32u, 33u, 62u}) {
             SCOPED_TRACE(testing::Message()
                          << schemeName(scheme) << " width "
@@ -252,6 +259,108 @@ TEST(EncodeBatchSimd, OffsetStrideStreamEmitsConstantBusWord)
 }
 
 // ------------------------------------------------------------------ //
+// Lane references: each element-wise batch loop against its closed
+// form per element, over run lengths from 0 to 100 (every short tail
+// an unrolled or vectorized loop could mishandle) and adversarial
+// fills. The SimdParity suite name is kept from the lane-op parity
+// suite these checks replace.
+
+const std::vector<size_t> laneLengths = {0,  1,  2,  3,  4,  5,  7,
+                                         8,  15, 16, 31, 33, 64, 100};
+
+/** All-zeros, all-ones, alternating bits, alternating words, and
+ *  random words, each of length n. */
+std::vector<std::vector<uint64_t>>
+laneFills(Rng &rng, size_t n)
+{
+    std::vector<std::vector<uint64_t>> fills;
+    fills.emplace_back(n, 0ull);
+    fills.emplace_back(n, ~0ull);
+    fills.emplace_back(n, 0x5555555555555555ull);
+    std::vector<uint64_t> lanes(n), random(n);
+    for (size_t k = 0; k < n; ++k) {
+        lanes[k] = (k & 1) ? ~0ull : 0ull;
+        random[k] = rng.next();
+    }
+    fills.push_back(std::move(lanes));
+    fills.push_back(std::move(random));
+    return fills;
+}
+
+TEST(SimdParity, MaskInto)
+{
+    Rng rng(0xa5a5);
+    for (size_t n : laneLengths) {
+        for (const std::vector<uint64_t> &src : laneFills(rng, n)) {
+            for (unsigned width : {1u, 31u, 32u, 33u, 62u}) {
+                SCOPED_TRACE(testing::Message()
+                             << "n=" << n << " width=" << width);
+                std::vector<uint64_t> want(n);
+                for (size_t k = 0; k < n; ++k)
+                    want[k] = src[k] & lowMask(width);
+                std::vector<uint64_t> bus(n, 0xdeadull);
+                makeEncoder(EncodingScheme::Unencoded, width)
+                    ->encodeBatch(src, bus);
+                EXPECT_EQ(bus, want);
+            }
+        }
+    }
+}
+
+TEST(SimdParity, GrayIntoMasksGarbageAboveWidth)
+{
+    // Garbage in every bit above the width: the loop must mask the
+    // input *before* the shift, or the stray bit at position `width`
+    // xors into bus bit width-1.
+    Rng rng(0xcafe);
+    for (size_t n : laneLengths) {
+        for (unsigned width : {1u, 31u, 32u, 33u, 62u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " width=" << width);
+            const uint64_t mask = lowMask(width);
+            std::vector<uint64_t> src(n), want(n);
+            for (size_t k = 0; k < n; ++k) {
+                src[k] = rng.next() | ~mask;
+                const uint64_t t = src[k] & mask;
+                want[k] = t ^ (t >> 1);
+            }
+            std::vector<uint64_t> bus(n, 0xbeefull);
+            makeEncoder(EncodingScheme::Gray, width)
+                ->encodeBatch(src, bus);
+            EXPECT_EQ(bus, want);
+        }
+    }
+}
+
+TEST(SimdParity, DiffIntoMatchesNaive)
+{
+    // Offset's loop emits (data[k] - data[k-1]) & mask, element 0
+    // seeded from the word a per-word encode() latched beforehand.
+    Rng rng(0xd1ff);
+    for (size_t n : laneLengths) {
+        for (unsigned width : {1u, 32u, 62u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " width=" << width);
+            std::vector<uint64_t> src(n);
+            for (uint64_t &w : src)
+                w = rng.next();
+            const uint64_t first_prev = rng.next();
+            std::vector<uint64_t> want(n);
+            for (size_t k = 0; k < n; ++k) {
+                const uint64_t prev = k == 0 ? first_prev : src[k - 1];
+                want[k] = (src[k] - prev) & lowMask(width);
+            }
+            std::unique_ptr<BusEncoder> enc =
+                makeEncoder(EncodingScheme::Offset, width);
+            enc->encode(first_prev);
+            std::vector<uint64_t> bus(n, 0xf00dull);
+            enc->encodeBatch(src, bus);
+            EXPECT_EQ(bus, want);
+        }
+    }
+}
+
+// ------------------------------------------------------------------ //
 // Energy-kernel independence: the encode stage must be untouched by
 // the Scalar/Packed kernel choice.
 
@@ -276,7 +385,7 @@ TEST(EncodeBatchKernels, IntervalStraddlingBatchesLeaveIdenticalState)
     // (interval = 100 cycles, batch spans ~180) with idle gaps
     // inside the batch, then require the encoders' captured state to
     // be byte-identical. All capture-capable schemes, both invert
-    // and SIMD families.
+    // and element-wise families.
     const std::vector<EncodingScheme> schemes = {
         EncodingScheme::Unencoded,
         EncodingScheme::BusInvert,

@@ -249,6 +249,74 @@ TEST(PackedCounts, RestoreRejectsShapeMismatch)
               ErrorCode::InvalidArgument);
 }
 
+// The two per-line steps of each block — transition lanes and the
+// popcount accumulation into the self counts — pinned on their own.
+// The SimdParity suite name is kept from the lane-op parity suite
+// these checks replace.
+
+TEST(SimdParity, TransitionLanesMatchNaiveReference)
+{
+    // A line toggles at cycle k when its bit differs from cycle k-1's,
+    // the held word's bit standing in for cycle -1. Runs shorter than
+    // a block leave cycles past its end that the cycle mask must drop;
+    // the fills are all-zeros, all-ones, alternating bits, alternating
+    // words and random words.
+    Rng rng(0x1f2e3d);
+    for (unsigned width : {1u, 2u, 3u, 5u, 8u, 31u, 33u, 64u}) {
+        for (size_t run : {size_t(1), size_t(17), size_t(63),
+                           size_t(64)}) {
+            std::vector<std::vector<uint64_t>> fills = {
+                std::vector<uint64_t>(run, 0ull),
+                std::vector<uint64_t>(run, ~0ull),
+                std::vector<uint64_t>(run, 0x5555555555555555ull),
+                std::vector<uint64_t>(run),
+                std::vector<uint64_t>(run)};
+            for (size_t k = 0; k < run; ++k) {
+                fills[3][k] = (k & 1) ? ~0ull : 0ull;
+                fills[4][k] = rng.next();
+            }
+            for (size_t f = 0; f < fills.size(); ++f) {
+                SCOPED_TRACE(testing::Message() << "width=" << width
+                                                << " run=" << run
+                                                << " fill=" << f);
+                const uint64_t initial = rng.next();
+                PackedTransitionCounts counts(width, width, initial);
+                counts.process(fills[f]);
+                expectCountsMatchNaive(
+                    counts, NaiveCounts(width, initial, fills[f]),
+                    width);
+            }
+        }
+    }
+}
+
+TEST(SimdParity, AccumulatePopcountsAddsInPlace)
+{
+    // Nonzero self counts seeded through restore(): processing a run
+    // must *add* each line's toggles to them, not store.
+    Rng rng(0x77aa);
+    for (unsigned width : {1u, 4u, 33u, 64u}) {
+        for (size_t run : {size_t(1), size_t(64), size_t(100)}) {
+            SCOPED_TRACE(testing::Message()
+                         << "width=" << width << " run=" << run);
+            std::vector<uint64_t> seed(width);
+            for (uint64_t &s : seed)
+                s = rng.next() >> 8;
+            const uint64_t held = rng.next();
+            PackedTransitionCounts counts(width, 0, 0);
+            ASSERT_TRUE(counts.restore(held, seed, {}).ok());
+            std::vector<uint64_t> words(run);
+            for (uint64_t &w : words)
+                w = rng.next();
+            counts.process(words);
+            const NaiveCounts naive(width, held, words);
+            for (unsigned i = 0; i < width; ++i)
+                EXPECT_EQ(counts.selfCount(i), seed[i] + naive.self[i])
+                    << "line " << i;
+        }
+    }
+}
+
 // ------------------------------------------------------------------ //
 // BusEnergyModel under the Packed kernel.
 

@@ -6,7 +6,8 @@ study promises: the equivalence block (bitwise batched-vs-per-record
 pins for both transition kernels, plus the scalar/packed cross-check
 with its tolerance re-verified numerically), the kernel-gate block
 (the packed kernel's in-memory speedup over scalar at batch 1024,
-re-checked against its own threshold), the kernel-labeled shard
+re-derived from its cells and, outside --smoke output, checked
+against its own threshold), the kernel-labeled shard
 timings, and the supervised-sweep tallies.
 
 Usage: check_bench_pipeline.py PATH/TO/BENCH_pipeline.json
@@ -66,8 +67,10 @@ def main():
              f"{equiv['cross_kernel_rel_dev']} exceeds the stated "
              f"tolerance {equiv['cross_kernel_tolerance']}")
 
-    # Kernel gate: one timed cell per kernel, and the speedup claim
-    # re-derived from the cells must clear the stated threshold.
+    # Kernel gate: one timed cell per kernel, and the reported speedup
+    # must match the cells. The full run must also clear the stated
+    # threshold; a smoke run (the ctest) only reports its verdict, so
+    # a loaded host cannot fail it.
     gate = require(data, "kernel_gate", dict)
     if not isinstance(gate.get("batch"), int) or gate["batch"] < 1:
         fail("kernel_gate missing/invalid 'batch'")
@@ -92,11 +95,14 @@ def main():
     if gate["threshold"] < 5.0:
         fail(f"kernel_gate threshold {gate['threshold']} is below "
              f"the required 5x")
-    if gate.get("passed") is not True:
-        fail("kernel_gate.passed is not true")
-    if gate["speedup"] < gate["threshold"]:
-        fail(f"kernel_gate speedup {gate['speedup']} is below the "
-             f"threshold {gate['threshold']}")
+    smoke = require(gate, "smoke", bool)
+    passed = require(gate, "passed", bool)
+    if not smoke:
+        if not passed:
+            fail("kernel_gate.passed is not true")
+        if gate["speedup"] < gate["threshold"]:
+            fail(f"kernel_gate speedup {gate['speedup']} is below the "
+                 f"threshold {gate['threshold']}")
     derived = walls["scalar"] / walls["packed"]
     if abs(derived - gate["speedup"]) > 0.05 * derived:
         fail(f"kernel_gate speedup {gate['speedup']} does not match "
@@ -132,9 +138,10 @@ def main():
     if sup["timed_out"] or sup["quarantined"]:
         fail("supervisor reports incomplete shards")
 
+    verdict = ">=" if passed else "< (advisory, smoke)"
     print(f"check_bench_pipeline: OK ({equiv['pins']} pins, "
           f"{len(shards)} shards, kernel speedup "
-          f"{gate['speedup']:.1f}x >= {gate['threshold']:.0f}x)")
+          f"{gate['speedup']:.1f}x {verdict} {gate['threshold']:.0f}x)")
 
 
 if __name__ == "__main__":
