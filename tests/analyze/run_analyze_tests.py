@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
 """Self-tests for tools/nbcheck (ctest label: analyze).
 
-Four groups, each asserting that a check family *fires* on a
+Five groups, each asserting that a check family *fires* on a
 known-bad fixture and stays quiet on the matching known-good one —
 so disabling any check fails this suite, which is the acceptance
 bar for the analyzer:
 
-  1. token-backend rule fixtures under fixtures/checks/, plus the
-     converse (scanning with the owning family disabled must make
-     the finding disappear — proves the expectation is testing the
-     check, not another pass);
-  2. the synthetic layering project under fixtures/layering/
+  1. token-backend rule fixtures at the top of fixtures/checks/,
+     plus the converse (scanning with the owning family disabled
+     must make the finding disappear — proves the expectation is
+     testing the check, not another pass);
+  2. the lint rule fixtures: fixtures/checks/ below the top level is
+     a small source tree (src/, bench/, tests/) run through the full
+     analysis with the real nbcheck.toml, so each rule's [scopes]
+     entry, its [[allow]] sanctioned sites and the per-line NOLINT
+     escape are tested as configured — on the token backend and,
+     when available, the libclang one (the lint rules are
+     token-derived under both), plus the same converse;
+  3. the synthetic layering project under fixtures/layering/
      (back-edge, undeclared edge, unknown module, and a declared
      inversion that must stay silent);
-  3. config validation (cycles, undeclared upward deps, reasonless
+  4. config validation (cycles, undeclared upward deps, reasonless
      allow entries must be rejected) and allowlist bookkeeping;
-  4. the --require-libclang contract, and — whenever the clang
+  5. the --require-libclang contract, and — whenever the clang
      bindings are importable — the same rule fixtures through the
      libclang backend, which keeps the two backends in agreement.
 """
@@ -30,13 +37,17 @@ REPO = os.path.dirname(os.path.dirname(HERE))
 sys.path.insert(0, os.path.join(REPO, "tools"))
 
 from nbcheck import clangast, cli, config, lexer, tokenscan  # noqa: E402
+from nbcheck import lintrules  # noqa: E402
 from nbcheck.compdb import CompileCommand  # noqa: E402
 
 CHECKS_DIR = os.path.join(HERE, "fixtures", "checks")
 LAYERING_DIR = os.path.join(HERE, "fixtures", "layering")
+CONFIG = os.path.join(REPO, "tools", "nbcheck", "nbcheck.toml")
 ALL_FAMILIES = {"determinism", "result", "fp-order"}
 
-# fixture file -> exact set of rules expected to fire
+# fixture file -> exact set of rules expected to fire. Paths with a
+# directory form the lint source tree (group 2); the rest are scanned
+# one file at a time with every code family on (group 1).
 EXPECT = {
     "det_wallclock_bad.cc": {"det-wallclock"},
     "det_rand_bad.cc": {"det-legacy-rand"},
@@ -50,6 +61,57 @@ EXPECT = {
     "result_clean_ok.cc": set(),
     "fp_accum_bad.cc": {"fp-accum-parallel-for"},
     "fp_accum_ok.cc": set(),
+    "src/util/discarded_member_bad.cc": {"discarded-result"},
+    "src/util/discarded_checked_bad.cc": {"discarded-result"},
+    "src/util/discarded_consumed_ok.cc": set(),
+    "src/util/discarded_nolint_ok.cc": set(),
+    "src/util/unit_double_param_bad.hh": {"raw-unit-double"},
+    "src/util/unit_double_const_bad.hh": {"raw-unit-double"},
+    "src/util/unit_typed_ok.hh": set(),
+    "src/util/using_namespace_bad.hh": {"using-namespace"},
+    "src/util/include_guard_bad.hh": {"include-guard"},
+    "src/thermal/thread_ctor_bad.cc": {"raw-thread"},
+    "src/thermal/jthread_bad.cc": {"raw-thread"},
+    "src/thermal/async_bad.cc": {"raw-thread"},
+    "src/thermal/thread_nonspawning_ok.cc": set(),
+    "src/thermal/thread_comment_ok.cc": set(),
+    "src/thermal/thread_nolint_ok.cc": set(),
+    "src/exec/jthread_exempt_ok.cc": set(),
+    "src/sim/affinity_pthread_bad.cc": {"raw-affinity"},
+    "src/sim/affinity_sched_bad.cc": {"raw-affinity"},
+    "src/sim/affinity_nolint_ok.cc": set(),
+    "src/sim/affinity_comment_ok.cc": set(),
+    "src/exec/affinity_exempt_ok.cc": set(),
+    "src/sim/trace_next_bad.cc": {"raw-trace-next"},
+    "bench/trace_next_bad.cc": {"raw-trace-next"},
+    "src/trace/trace_next_ok.cc": set(),
+    "tests/sim/trace_next_ok.cc": set(),
+    "src/sim/trace_next_batch_ok.cc": set(),
+    "src/sim/trace_next_nolint_ok.cc": set(),
+    "src/sim/trace_next_comment_ok.cc": set(),
+    "bench/rng_next_ok.cc": set(),
+    "src/sim/result_std_fopen_bad.cc": {"raw-result-write"},
+    "src/sim/result_fopen_bad.cc": {"raw-result-write"},
+    "src/sim/result_rename_bad.cc": {"raw-result-write"},
+    "src/sim/result_fs_rename_bad.cc": {"raw-result-write"},
+    "bench/result_fopen_bad.cc": {"raw-result-write"},
+    "bench/result_rename_bad.hh": {"raw-result-write"},
+    "src/util/atomicfile.cc": set(),
+    "tests/util/result_rename_ok.cc": set(),
+    "src/sim/result_nolint_ok.cc": set(),
+    "src/sim/result_remove_ok.cc": set(),
+    "src/sim/result_reopen_ok.cc": set(),
+    "src/sim/result_comment_ok.cc": set(),
+    "src/sim/det_nolint_ignored_bad.cc": {"det-legacy-rand"},
+}
+FLAT_EXPECT = {k: v for k, v in EXPECT.items() if "/" not in k}
+TREE_EXPECT = {k: v for k, v in EXPECT.items() if "/" in k}
+
+# lint fixtures whose finding an [[allow]] entry must suppress
+SANCTIONED = {
+    "src/exec/jthread_exempt_ok.cc": "raw-thread",
+    "src/exec/affinity_exempt_ok.cc": "raw-affinity",
+    "src/util/atomicfile.cc": "raw-result-write",
 }
 
 LAYERING_EXPECT = {
@@ -69,6 +131,9 @@ def check(name, ok, detail=""):
 
 
 def family_of(rule):
+    """The [scopes] key that switches `rule` on."""
+    if rule in lintrules.RULES:
+        return rule
     return {"det": "determinism", "res": "result",
             "fp-": "fp-order"}[rule[:3]]
 
@@ -76,14 +141,14 @@ def family_of(rule):
 def token_rules(fname, families):
     with open(os.path.join(CHECKS_DIR, fname),
               encoding="utf-8") as fh:
-        tokens, _ = lexer.lex(fh.read())
+        tokens, _, _ = lexer.lex(fh.read())
     return {f.rule
             for f in tokenscan.scan_file(fname, tokens, families)}
 
 
 def test_token_fixtures():
     print("token-backend rule fixtures:")
-    for fname in sorted(EXPECT):
+    for fname in sorted(FLAT_EXPECT):
         expected = EXPECT[fname]
         got = token_rules(fname, ALL_FAMILIES)
         check(f"tokens:{fname}", got == expected,
@@ -98,11 +163,59 @@ def test_token_fixtures():
                   f"'{rule}' still fires with {fam} disabled")
 
 
+def tree_findings(backend, drop_scope=None):
+    """Run the analysis over the lint source tree with the real config
+    (minus one [scopes] entry); returns ({path: rules}, suppressed)."""
+    cfg = config.load(CONFIG)
+    cfg.scopes.pop(drop_scope, None)
+    kept, suppressed = cli.run_analysis(CHECKS_DIR, cfg,
+                                        backend=backend, db=None)
+    got = {}
+    for f in kept:
+        got.setdefault(f.path, set()).add(f.rule)
+    return got, suppressed
+
+
+def test_lint_fixtures():
+    print("lint rule fixtures (source tree, real nbcheck.toml):")
+    discovered = set(cli.discover_files(CHECKS_DIR,
+                                        config.load(CONFIG)))
+    check("lint:every-fixture-has-expect",
+          discovered == set(TREE_EXPECT),
+          f"without EXPECT: {sorted(discovered - set(TREE_EXPECT))}, "
+          f"missing: {sorted(set(TREE_EXPECT) - discovered)}")
+    backends = ["tokens"] + (["libclang"] if clangast.available()
+                             else [])
+    for backend in backends:
+        got, suppressed = tree_findings(backend)
+        for path in sorted(TREE_EXPECT):
+            expected = TREE_EXPECT[path]
+            if backend != "tokens":
+                # No compilation database here, so only the
+                # token-derived lint rules run.
+                expected = expected & set(lintrules.RULES)
+            check(f"{backend}:{path}",
+                  got.get(path, set()) == expected,
+                  f"expected {sorted(expected)}, "
+                  f"got {sorted(got.get(path, set()))}")
+        hits = {(f.path, f.rule) for f in suppressed}
+        for path, rule in sorted(SANCTIONED.items()):
+            check(f"{backend}:{path}:allowlisted", (path, rule) in hits,
+                  f"no [[allow]] hit for {rule}")
+    # The converse: dropping a rule's [scopes] entry must silence it.
+    for path in sorted(TREE_EXPECT):
+        for rule in TREE_EXPECT[path]:
+            got, _ = tree_findings("tokens", drop_scope=family_of(rule))
+            check(f"tokens:{path}:unscoped-{family_of(rule)}",
+                  rule not in got.get(path, set()),
+                  f"'{rule}' still fires without its scope")
+
+
 def test_layering_fixture():
     print("layering fixture project:")
     cfg = config.load(os.path.join(LAYERING_DIR, "conf.toml"))
     kept, suppressed = cli.run_analysis(
-        LAYERING_DIR, cfg, backend="tokens", db=None, lint=False)
+        LAYERING_DIR, cfg, backend="tokens", db=None)
     got = {}
     for f in kept:
         got.setdefault(f.path, set()).add(f.rule)
@@ -199,7 +312,7 @@ def test_libclang_contract():
         return
     scanner = clangast.ClangScanner(
         CHECKS_DIR, lambda rel: ALL_FAMILIES)
-    for fname in sorted(EXPECT):
+    for fname in sorted(FLAT_EXPECT):
         path = os.path.join(CHECKS_DIR, fname)
         scanner.scan_tu(CompileCommand(
             file=path, directory=CHECKS_DIR,
@@ -209,7 +322,7 @@ def test_libclang_contract():
     got = {}
     for f in scanner.findings:
         got.setdefault(f.path, set()).add(f.rule)
-    for fname in sorted(EXPECT):
+    for fname in sorted(FLAT_EXPECT):
         check(f"libclang:{fname}",
               got.get(fname, set()) == EXPECT[fname],
               f"expected {sorted(EXPECT[fname])}, "
@@ -218,6 +331,7 @@ def test_libclang_contract():
 
 def main():
     test_token_fixtures()
+    test_lint_fixtures()
     test_layering_fixture()
     test_config_validation()
     test_libclang_contract()

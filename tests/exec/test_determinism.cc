@@ -21,6 +21,7 @@
 #include "extraction/bem.hh"
 #include "sim/experiment.hh"
 #include "trace/io.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -73,7 +74,7 @@ TEST(Determinism, EnergyStudyBitIdenticalAcrossPoolSizes)
 TEST(Determinism, TraceSweepReportBitIdenticalAcrossPoolSizes)
 {
     const std::string path =
-        ::testing::TempDir() + "/nanobus_determinism_trace.txt";
+        test::uniqueTempPath("determinism_trace.txt");
     {
         TraceWriter writer(path);
         // Mixed traffic with address patterns that exercise both

@@ -18,6 +18,7 @@
 #include "exec/thread_pool.hh"
 #include "trace/io.hh"
 #include "util/faultinject.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -53,8 +54,7 @@ expectSameEnergies(const SweepReport &a, const SweepReport &b)
 class SupervisorTest : public ::testing::Test
 {
   protected:
-    std::string path_ =
-        ::testing::TempDir() + "/nanobus_supervisor_trace.txt";
+    std::string path_ = test::uniqueTempPath("supervisor_trace.txt");
 
     void SetUp() override
     {

@@ -20,6 +20,7 @@
 #include "exec/thread_pool.hh"
 #include "trace/io.hh"
 #include "util/faultinject.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -41,8 +42,7 @@ sweepConfig()
 class SweepRunnerTest : public ::testing::Test
 {
   protected:
-    std::string path_ =
-        ::testing::TempDir() + "/nanobus_sweep_runner_trace.txt";
+    std::string path_ = test::uniqueTempPath("sweep_runner_trace.txt");
 
     void SetUp() override { FaultInjector::instance().reset(); }
 

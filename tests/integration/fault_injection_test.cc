@@ -23,6 +23,7 @@
 #include "trace/io.hh"
 #include "util/faultinject.hh"
 #include "util/logging.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -44,8 +45,7 @@ sweepConfig()
 class FaultInjectionSweep : public ::testing::Test
 {
   protected:
-    std::string path_ =
-        ::testing::TempDir() + "/nanobus_fault_trace.txt";
+    std::string path_ = test::uniqueTempPath("fault_trace.txt");
 
     void SetUp() override { FaultInjector::instance().reset(); }
 

@@ -14,6 +14,7 @@
 #include "trace/profile.hh"
 #include "trace/synthetic.hh"
 #include "vm/kernels.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -32,7 +33,7 @@ fastConfig()
 
 TEST(Pipeline, TraceFileRoundTripGivesIdenticalEnergy)
 {
-    std::string path = ::testing::TempDir() + "/nanobus_pipe.txt";
+    std::string path = test::uniqueTempPath("pipe.txt");
 
     // Generate, capture to file and to memory simultaneously.
     std::vector<TraceRecord> records;

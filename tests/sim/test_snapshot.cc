@@ -24,6 +24,7 @@
 #include "sim/snapshot.hh"
 #include "trace/io.hh"
 #include "trace/record.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -134,8 +135,7 @@ replay(const std::vector<TraceRecord> &records, EncodingScheme scheme,
 class SnapshotTest : public ::testing::Test
 {
   protected:
-    std::string ckpt_ =
-        ::testing::TempDir() + "/nanobus_snapshot_test.ckpt";
+    std::string ckpt_ = test::uniqueTempPath("snapshot_test.ckpt");
 
     void TearDown() override { std::remove(ckpt_.c_str()); }
 
@@ -228,9 +228,9 @@ TEST_F(SnapshotTest, FileTraceKillAndResume)
     // Same pin over real trace files and TraceReader: the resumed
     // reader re-reads the prefix lines and skips them by count.
     const std::string full_path =
-        ::testing::TempDir() + "/nanobus_snapshot_full.txt";
+        test::uniqueTempPath("snapshot_full.txt");
     const std::string prefix_path =
-        ::testing::TempDir() + "/nanobus_snapshot_prefix.txt";
+        test::uniqueTempPath("snapshot_prefix.txt");
     const std::vector<TraceRecord> records = makeRecords(1500);
     {
         TraceWriter full(full_path);

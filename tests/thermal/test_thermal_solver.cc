@@ -19,6 +19,7 @@
 #include "sim/pipeline.hh"
 #include "sim/snapshot.hh"
 #include "trace/record.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -141,8 +142,8 @@ TEST(ThermalSolverPipeline, ImplicitKillAndResumeBitIdentical)
     // thermal state but *not* the cached operator factorization — the
     // resumed network must refactor deterministically and continue
     // bit-identically, at pool sizes 1/2/hw.
-    const std::string ckpt = ::testing::TempDir() +
-        "/nanobus_thermal_solver_test.ckpt";
+    const std::string ckpt =
+        test::uniqueTempPath("thermal_solver_test.ckpt");
     const std::vector<TraceRecord> records = makeRecords(2000);
     const std::vector<TraceRecord> prefix(records.begin(),
                                           records.begin() + 1100);

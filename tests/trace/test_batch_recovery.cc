@@ -19,6 +19,7 @@
 #include "trace/batch.hh"
 #include "trace/io.hh"
 #include "util/faultinject.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -54,8 +55,7 @@ drain(BatchSource &source, std::vector<TraceRecord> &out)
 class BatchRecoveryTest : public ::testing::Test
 {
   protected:
-    std::string path_ =
-        ::testing::TempDir() + "/nanobus_batch_recovery_trace.txt";
+    std::string path_ = test::uniqueTempPath("batch_recovery_trace.txt");
 
     void SetUp() override { FaultInjector::instance().reset(); }
 

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "util/atomicfile.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -37,8 +38,7 @@ exists(const std::string &path)
 class AtomicFileTest : public ::testing::Test
 {
   protected:
-    std::string path_ =
-        ::testing::TempDir() + "/nanobus_atomicfile_test.txt";
+    std::string path_ = test::uniqueTempPath("atomicfile_test.txt");
 
     void TearDown() override
     {

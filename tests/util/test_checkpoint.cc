@@ -18,6 +18,7 @@
 #include <string>
 
 #include "util/checkpoint.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -137,8 +138,7 @@ TEST(SnapshotWireTest, Crc32MatchesKnownVectorAndChunks)
 class SnapshotFileTest : public ::testing::Test
 {
   protected:
-    std::string path_ =
-        ::testing::TempDir() + "/nanobus_checkpoint_test.ckpt";
+    std::string path_ = test::uniqueTempPath("checkpoint_test.ckpt");
     std::string payload_ = std::string("payload \0 bytes", 15);
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "util/csv.hh"
+#include "temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -26,7 +27,7 @@ slurp(const std::string &path)
 class CsvTest : public ::testing::Test
 {
   protected:
-    std::string path_ = ::testing::TempDir() + "/nanobus_csv_test.csv";
+    std::string path_ = test::uniqueTempPath("csv_test.csv");
 
     void TearDown() override { std::remove(path_.c_str()); }
 };

@@ -2,7 +2,7 @@
 
 Four check families over the nanobus tree (layering DAG,
 determinism audit, Result discipline, FP accumulation order) plus
-the legacy regex lint as a front-end pass. See
+eight token-stream lint rules (repo conventions). See
 docs/STATIC_ANALYSIS.md for the rule catalog and
 tools/nbcheck/nbcheck.toml for the declared layer DAG and the
 allowlist.

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import clangast, compdb, config, includes, lexer, lintpass, \
+from . import clangast, compdb, config, includes, lexer, lintrules, \
     tokenscan
 from .findings import Finding, sort_key
 
@@ -30,6 +30,9 @@ def discover_files(root, cfg):
     roots = set()
     for family_roots in cfg.scopes.values():
         roots.update(family_roots)
+    # A root nested in another (src/sim in src) is walked once.
+    roots = {r for r in roots
+             if not any(r.startswith(o + "/") for o in roots)}
     found = []
     for scope_root in sorted(roots):
         base = os.path.join(root, scope_root)
@@ -45,8 +48,7 @@ def discover_files(root, cfg):
     return found
 
 
-def run_analysis(root, cfg, backend="auto", db=None, lint=True,
-                 notes=None):
+def run_analysis(root, cfg, backend="auto", db=None, notes=None):
     """Run every pass; returns (kept, suppressed) finding lists.
     `backend` must already be resolved to 'tokens' or 'libclang'."""
     notes = notes if notes is not None else []
@@ -58,14 +60,11 @@ def run_analysis(root, cfg, backend="auto", db=None, lint=True,
 
     findings = []
 
-    # Pass 0: the legacy regex lint, folded in as a front end.
-    if lint:
-        findings.extend(lintpass.run(root))
-
-    # Lex everything once; the include graph and the token backend
-    # share the result.
+    # Lex everything once; the include graph, the lint rules and the
+    # token backend share the result.
     file_tokens = {}
     file_includes = {}
+    file_nolint = {}
     for rel in files:
         try:
             with open(os.path.join(root, rel),
@@ -74,16 +73,25 @@ def run_analysis(root, cfg, backend="auto", db=None, lint=True,
         except OSError as e:
             findings.append(Finding(rel, 1, "io-error", str(e)))
             continue
-        tokens, incs = lexer.lex(text)
+        tokens, incs, nolint = lexer.lex(text)
         file_tokens[rel] = tokens
         file_includes[rel] = incs
+        file_nolint[rel] = nolint
 
     # Pass 1: layering — always token-derived (the preprocessor
     # must not hide edges; see includes.py).
     edges = includes.build_edges(file_includes, include_dirs, root)
     findings.extend(includes.check_layering(cfg, edges))
 
-    # Passes 2-4: determinism / result / fp-order.
+    # Pass 2: the repo lint rules — token-derived under either
+    # backend too, each rule scoped by its own [scopes] entry.
+    for rel, tokens in file_tokens.items():
+        rules = {r for r in lintrules.RULES if cfg.in_scope(r, rel)}
+        if rules:
+            findings.extend(lintrules.scan_file(
+                rel, tokens, file_nolint[rel], rules))
+
+    # Passes 3-5: determinism / result / fp-order.
     def families_for(rel):
         return {f for f in _CODE_FAMILIES if cfg.in_scope(f, rel)}
 
@@ -150,8 +158,6 @@ def main(argv=None):
     parser.add_argument("--require-libclang", action="store_true",
                         help="fail (exit 3) instead of falling back "
                              "to the token backend")
-    parser.add_argument("--no-lint", action="store_true",
-                        help="skip the legacy lint front-end pass")
     parser.add_argument("--strict-allowlist", action="store_true",
                         help="treat allowlist entries that matched "
                              "nothing as findings")
@@ -195,8 +201,7 @@ def main(argv=None):
                      "no compilation database found")
 
     kept, suppressed = run_analysis(root, cfg, backend=backend,
-                                    db=db, lint=not args.no_lint,
-                                    notes=notes)
+                                    db=db, notes=notes)
 
     if args.strict_allowlist:
         rel_cfg = os.path.relpath(config_path, root).replace(

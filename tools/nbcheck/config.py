@@ -8,8 +8,8 @@ The config is the contract the tree is checked against:
   justification, and the union of deps + inversions must stay
   acyclic (an inversion is a declared exception, not a cycle
   licence).
-* ``[scopes]`` maps each check family to the top-level directories it
-  runs over.
+* ``[scopes]`` maps each check family, and each lint rule, to the
+  directories it runs over.
 * ``[[allow]]`` entries are the only sanctioned suppressions: a rule
   name plus a path glob plus a reason. The driver reports allowlist
   entries that matched nothing so they cannot rot silently.
@@ -21,7 +21,10 @@ import fnmatch
 import tomllib
 from dataclasses import dataclass, field
 
-CHECK_FAMILIES = ("layering", "determinism", "result", "fp-order")
+from .lintrules import RULES as LINT_RULES
+
+CHECK_FAMILIES = ("layering", "determinism", "result",
+                  "fp-order") + LINT_RULES
 
 
 class ConfigError(Exception):
@@ -58,7 +61,7 @@ class AllowEntry:
 class Config:
     path: str
     modules: dict = field(default_factory=dict)
-    # check family -> list of top-level directories
+    # check family or lint rule -> list of directories
     scopes: dict = field(default_factory=dict)
     allow: list = field(default_factory=list)
     # modules whose edges are not checked (top-of-stack consumers)

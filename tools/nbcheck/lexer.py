@@ -3,7 +3,9 @@
 Produces a flat token stream with line numbers, with comments,
 string/char literals (including raw strings), and `#include`
 directives stripped out of the code stream. Include directives are
-reported separately so the include-graph pass shares one scan.
+reported separately so the include-graph pass shares one scan, and
+so are the rule names of `// NOLINT(<rule>, ...)` comments, keyed by
+line, for the lint rules that honour that escape.
 
 This is deliberately not a preprocessor: macro bodies and both arms
 of `#if`/`#else` regions are tokenized, which is what a checker
@@ -28,6 +30,7 @@ _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM_RE = re.compile(r"(?:0[xXbB])?[0-9][0-9a-fA-F'.eEpPxXuUlLfF+-]*")
 _INCLUDE_RE = re.compile(
     r'^\s*#\s*include\s+(?:"([^"]+)"|<([^>]+)>)')
+_NOLINT_RE = re.compile(r"//\s*NOLINT\(([a-z\-, ]+)\)")
 
 
 @dataclass
@@ -49,9 +52,12 @@ class Include:
 
 
 def lex(text):
-    """Tokenize C++ source. Returns (tokens, includes)."""
+    """Tokenize C++ source. Returns (tokens, includes, nolint), where
+    nolint maps a line number to the rule names its `//` comment
+    exempts."""
     tokens = []
     includes = []
+    nolint = {}
     i = 0
     n = len(text)
     line = 1
@@ -75,7 +81,12 @@ def lex(text):
         if c == "/" and i + 1 < n:
             if text[i + 1] == "/":
                 end = text.find("\n", i)
-                i = n if end < 0 else end
+                end = n if end < 0 else end
+                m = _NOLINT_RE.search(text, i, end)
+                if m:
+                    nolint.setdefault(line, set()).update(
+                        r.strip() for r in m.group(1).split(","))
+                i = end
                 continue
             if text[i + 1] == "*":
                 end = text.find("*/", i + 2)
@@ -161,4 +172,4 @@ def lex(text):
                 break
         else:
             i += 1  # unknown byte; skip
-    return tokens, includes
+    return tokens, includes, nolint
