@@ -22,7 +22,7 @@
  * --gate-reps runs each; in-memory so the gate measures the
  * transition kernels, not trace-file parsing). The verdict lands in
  * the JSON "kernel_gate" block and a miss fails the full run;
- * tools/check_bench_pipeline.py re-checks it from the JSON. Under
+ * `tools/check_bench.py pipeline` re-checks it from the JSON. Under
  * --smoke (the ctest, often run beside a loaded `ctest -j`) the gate
  * is advisory: speedup and verdict are still reported, but a miss
  * does not fail the run, because host load must not decide a test.

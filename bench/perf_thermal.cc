@@ -22,7 +22,7 @@
  * cell). The acceptance block gates exactly that claim: the widest
  * implicit cell must be faster per simulated interval than the
  * 32-wire RK4 oracle. Everything lands in BENCH_thermal.json
- * (tools/check_bench_thermal.py validates the schema).
+ * (`tools/check_bench.py thermal` validates the schema).
  *
  * Flags: --intervals=N --interval-s=F --rk4-max-width=N
  *        --json=PATH --smoke (short ladder, few intervals)

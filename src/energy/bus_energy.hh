@@ -118,9 +118,20 @@ class BusEnergyModel
     Farads couplingCapacitance(unsigned i, unsigned j) const;
 
     /**
-     * Energies dissipated in each line by the transition prev->next,
-     * without touching model state. Returns a reference to an
-     * internal buffer valid until the next call.
+     * Energies dissipated in each line by the transition prev->next.
+     * Leaves the held word and every accumulator alone; it only
+     * rewrites the evaluation scratch: the per-line energy buffer,
+     * the per-word coupling-factor table and the mask of lines the
+     * call moved, which the next call uses to zero just those lines
+     * instead of the whole buffer. Returns a reference to the
+     * internal buffer, valid until the next call.
+     *
+     * The evaluation is branch-free and sums up to four moving lines
+     * as independent chains over a shared window, yet each line's
+     * energy is bitwise the per-line reference sum: the extra terms
+     * are exactly +0.0 (see bus_energy.cc), so results match the
+     * straightforward loop bit for bit (pinned by
+     * tests/energy/test_scalar_kernel_diff.cc).
      */
     const std::vector<double> &transitionEnergy(uint64_t prev,
                                                 uint64_t next);
@@ -155,8 +166,14 @@ class BusEnergyModel
      * pass, and every accumulator receives the exact per-word
      * addition sequence of the per-record path, so the results are
      * bit-identical (pinned by tests/sim/test_pipeline_batch.cc).
-     * After the call, lastBreakdown()/lastLineEnergy() describe the
-     * final transition of the run.
+     * Only the lines that move in a word are added to acc_line_ and
+     * `interval_line_acc`: a steady line's energy is +0.0, and an
+     * accumulator that started at +0.0 never holds -0.0, so adding
+     * +0.0 would leave its bits unchanged — skipping it is bitwise
+     * the full-width loop (for the caller's span too, as long as it
+     * was zero-filled with +0.0). After the call,
+     * lastBreakdown()/lastLineEnergy() describe the final transition
+     * of the run.
      *
      * Under the Packed kernel the caller's interval accumulators are
      * deliberately NOT touched: interval energies are derived from
@@ -261,9 +278,18 @@ class BusEnergyModel
     uint64_t word_mask_;
 
     std::vector<double> self_cap_;     // per line, full length [F]
-    Matrix coupling_cap_;              // per pair, full length [F]
+    /** Per pair, full length [F]; a literal 0.0 on the diagonal and
+     *  beyond the radius (transitionEnergy() relies on it). */
+    Matrix coupling_cap_;
 
     std::vector<double> line_energy_;  // scratch, per line [J]
+    /** Scratch coupling factors 1 - vi vj of the last transition:
+     *  [0, width) for a rising line i, [width, 2 width) for a falling
+     *  one; 1 on every line outside scratch_changed_. */
+    std::vector<double> factor_;
+    /** Lines the last transitionEnergy() call moved: the only lines
+     *  with nonzero line_energy_ or a factor other than 1. */
+    uint64_t scratch_changed_ = 0;
     EnergyBreakdown last_;
 
     std::vector<double> acc_line_;

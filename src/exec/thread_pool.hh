@@ -1,8 +1,9 @@
 /**
  * @file
  * Fixed-size work-stealing thread pool — the only sanctioned way to
- * spawn concurrency in this repository (tools/lint.py enforces that
- * raw std::thread/std::async stay out of every other directory).
+ * spawn concurrency in this repository (tools/nbcheck's `raw-thread`
+ * rule keeps raw std::thread/std::async out of every other
+ * directory).
  *
  * Design goals, in order:
  *

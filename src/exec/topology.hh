@@ -151,7 +151,7 @@ bool affinityPinningSupported();
  * unpinned execution, they do not fail.
  *
  * This wrapper is the single sanctioned affinity call site:
- * tools/lint.py (raw-affinity) keeps pthread_setaffinity_np and
+ * tools/nbcheck's `raw-affinity` rule keeps pthread_setaffinity_np and
  * sched_setaffinity out of every directory but src/exec/.
  */
 bool pinThreadToCpu(std::thread::native_handle_type handle,

@@ -9,7 +9,7 @@
  * standard fix is to stage the bytes in a sibling temporary file and
  * publish with rename(), which POSIX guarantees is atomic within a
  * filesystem. This helper is the single sanctioned call site for
- * that pattern — tools/lint.py (rule `raw-result-write`) bans raw
+ * that pattern — tools/nbcheck (rule `raw-result-write`) bans raw
  * std::fopen/std::rename result-file plumbing everywhere else.
  *
  * Failures are reported as Status (ErrorCode::IoError), never

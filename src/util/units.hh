@@ -29,7 +29,8 @@
  * Literal suffixes (45_nm, 1.2_V, 110_K, ...) live in
  * nanobus::units::literals; import them with
  * `using namespace nanobus::units::literals;` in implementation files
- * (never in headers — tools/lint.py enforces this).
+ * (never in headers — tools/nbcheck's `using-namespace` rule
+ * enforces this).
  */
 
 #ifndef NANOBUS_UTIL_UNITS_HH
