@@ -139,7 +139,7 @@ BENCHMARK(BM_EnergyStudy)->Apply(poolSizeArgs)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * A SweepRunner batch of independent benchmark cells — the shape of
+ * A supervised batch of independent benchmark cells — the shape of
  * the paper's full evaluation, and the workload the >= 2x speedup
  * acceptance target refers to (whole simulations per shard amortize
  * every queue cost).
@@ -153,10 +153,10 @@ BM_SweepBatch(benchmark::State &state)
         "eon", "swim", "crafty", "mcf"};
 
     auto runBatch = [&](exec::ThreadPool &pool) {
-        std::vector<exec::SweepJob> jobs;
+        std::vector<exec::SupervisedJob> jobs;
         for (const std::string &name : benchmarks) {
             jobs.push_back(
-                {name, [name]() -> Result<SweepReport> {
+                {name, [name](exec::JobContext &) -> Result<SweepReport> {
                      EnergyCell cell = runEnergyStudy(
                          name, tech130, EncodingScheme::BusInvert, 1,
                          kCycles, 1);
@@ -168,14 +168,16 @@ BM_SweepBatch(benchmark::State &state)
                      return report;
                  }});
         }
-        return exec::SweepRunner(pool).run(jobs);
+        return exec::Supervisor(pool).run(jobs);
     };
 
     exec::ThreadPool serial_pool(1);
-    Result<exec::BatchReport> serial = runBatch(serial_pool);
+    Result<exec::SupervisedReport> serial = runBatch(serial_pool);
     exec::ThreadPool pool(threads);
-    Result<exec::BatchReport> check = runBatch(pool);
-    if (!serial.ok() || !check.ok()) {
+    Result<exec::SupervisedReport> check = runBatch(pool);
+    if (!serial.ok() || !check.ok() ||
+        !serial.value().allSucceeded() ||
+        !check.value().allSucceeded()) {
         state.SkipWithError("sweep batch failed");
         return;
     }
@@ -189,7 +191,7 @@ BM_SweepBatch(benchmark::State &state)
     }
 
     for (auto _ : state) {
-        Result<exec::BatchReport> batch = runBatch(pool);
+        Result<exec::SupervisedReport> batch = runBatch(pool);
         benchmark::DoNotOptimize(batch);
     }
     state.SetItemsProcessed(

@@ -143,15 +143,12 @@ pinSingleSegmentOracle(const TechnologyNode &tech)
         config.segment = segmentConfig(scheme, 1000);
         BusFabric fabric(tech, config);
         VectorTrafficSource source(txs);
-        Result<FabricRunStats> stats = fabric.run(source, pool);
-        if (!stats.ok())
-            fatal("perf_fabric: oracle pin run failed: %s",
-                  stats.error().describe().c_str());
+        const FabricRunStats stats = fabric.run(source, pool);
 
         BusSimulator standalone(tech, config.segment);
         for (const FabricTransaction &tx : txs)
             standalone.transmit(tx.cycle, tx.payload);
-        standalone.advanceTo(stats.value().last_cycle);
+        standalone.advanceTo(stats.last_cycle);
 
         if (!identicalBits(segmentFingerprint(fabric.segment(0)),
                            segmentFingerprint(standalone))) {
@@ -193,10 +190,7 @@ pinMeshDeterminism(const TechnologyNode &tech)
         BusFabric fabric(tech, config);
         SyntheticTraffic source(fabric.topology(), traffic);
         exec::ThreadPool pool(pool_size, pinning);
-        Result<FabricRunStats> stats = fabric.run(source, pool);
-        if (!stats.ok())
-            fatal("perf_fabric: determinism pin run failed: %s",
-                  stats.error().describe().c_str());
+        fabric.run(source, pool);
         return fabricFingerprint(fabric);
     };
 
@@ -360,13 +354,8 @@ main(int argc, char **argv)
             fabric->topology(),
             cellTraffic(config, *pattern, rate, cell_txs));
         bench::WallTimer timer;
-        Result<FabricRunStats> stats = fabric->run(source, pool);
+        const FabricRunStats run = fabric->run(source, pool);
         const double wall = timer.ms();
-        if (!stats.ok())
-            fatal("perf_fabric: cell %llu failed: %s",
-                  static_cast<unsigned long long>(segments),
-                  stats.error().describe().c_str());
-        const FabricRunStats &run = stats.value();
         const double hops_per_s = wall > 0.0
             ? static_cast<double>(run.hops) / (wall / 1000.0)
             : 0.0;

@@ -3,7 +3,7 @@
  * Lightweight execution counters for the parallel runtime.
  *
  * The counters exist so speedups are *measurable*, not asserted:
- * every SweepRunner batch and every bench shard reports how many
+ * every supervised batch and every bench shard reports how many
  * tasks ran, how many were stolen across worker deques, and how much
  * wall-clock each shard took, and the bench drivers serialize them
  * into BENCH_*.json so the scaling trajectory is captured run over

@@ -9,19 +9,6 @@
 namespace nanobus {
 namespace exec {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-millisSince(Clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                     start).count();
-}
-
-} // anonymous namespace
-
 const char *
 jobOutcomeName(JobOutcome outcome)
 {
@@ -60,13 +47,13 @@ void
 JobContext::start(double deadline_ms)
 {
     deadline_ms_ = deadline_ms;
-    start_ = Clock::now();
+    start_ = detail::SupervisorClock::now();
 }
 
 double
 JobContext::elapsedMs() const
 {
-    return millisSince(start_);
+    return detail::millisSince(start_);
 }
 
 bool

@@ -1,15 +1,18 @@
 /**
  * @file
- * BasicSupervisor — fault-tolerant execution of sweep shards on top
- * of the BasicSweepRunner job model (docs/ROBUSTNESS.md,
- * "Supervision & retry").
+ * BasicSupervisor — fault-tolerant execution of independent job
+ * batches on a ThreadPool (docs/ROBUSTNESS.md, "Supervision &
+ * retry"; docs/PARALLELISM.md, "Supervised sweeps").
  *
- * The sweep runner's contract is fail-fast: the first shard Error
- * cancels the batch. That is right for interactive runs but wrong
- * for fleet-scale sweeps, where one flaky filesystem read or one
- * hung worker must not discard hours of finished shards. The
- * supervisor adds the policy layer:
+ * The paper's evaluation is a cross-product — technology nodes ×
+ * encoding schemes × traces × configurations — and every cell is an
+ * independent job: it owns its simulators, shares nothing mutable,
+ * and produces one report. The supervisor runs a vector of such jobs
+ * and drives every one to a final outcome, so one flaky filesystem
+ * read or one hung worker never discards the finished shards:
  *
+ *  - *Ordered collection.* reports[i] and records[i] belong to job
+ *    i, whatever order the shards actually ran in.
  *  - *Fault taxonomy.* A shard Error is classified by its ErrorCode:
  *    IoError is transient (a retry against the reopened source can
  *    succeed); everything else — contract violations, parse errors,
@@ -28,27 +31,26 @@
  *    at pool size 1 where no monitor can run concurrently. Deadline
  *    overruns are permanent (outcome TimedOut): a stalled shard is
  *    not I/O flakiness.
- *  - *Run-to-completion.* By default every job is driven to a final
- *    outcome (Ok / Retried / TimedOut / Quarantined) and the batch
- *    returns a degraded-mode report with per-job records;
- *    Options::run_to_completion = false restores the runner's
- *    fail-fast contract (smallest-index permanent failure, label-
- *    prefixed, surfaces as the batch Error).
+ *  - *Degraded-mode report.* The batch returns per-job records (Ok /
+ *    Retried / TimedOut / Quarantined), the quarantine list, outcome
+ *    tallies, and the pool counters and wall-clock of the batch.
  *
- * Like BasicSweepRunner, the supervisor is generic over the `Report`
- * payload so this header depends only on the execution layer
- * (docs/STATIC_ANALYSIS.md, layering DAG): `Report` must be
- * default-constructible, movable, and expose an ExecStats `exec`
- * member. The simulation instantiation and its job builders live in
- * src/sim/sweep.hh.
+ * The supervisor is generic over the `Report` payload so this header
+ * depends only on the execution layer (docs/STATIC_ANALYSIS.md,
+ * layering DAG): `Report` must be default-constructible, movable,
+ * and expose an ExecStats `exec` member the supervisor stamps with
+ * pool placement and wall-clock. The simulation instantiation and
+ * its job builders live in src/sim/sweep.hh.
  *
  * Determinism: reports are collected by job index, and a job's
- * result is produced by its (isolated) body exactly as under the
- * plain runner — for jobs that succeed, the reports are
- * bit-identical at every pool size. Timing decides only *scheduling*
- * (and, with deadlines armed, whether a genuinely slow shard times
- * out); tests drive the timeout path deterministically with the
- * injected FaultSite::Stall hang.
+ * result is produced by its (isolated) body alone — for jobs that
+ * succeed, the reports are bit-identical at every pool size. Timing
+ * decides only *scheduling* (and, with deadlines armed, whether a
+ * genuinely slow shard times out); tests drive the timeout path
+ * deterministically with the injected FaultSite::Stall hang.
+ *
+ * Jobs must not touch process-global mutable state; the library's
+ * own globals (FaultInjector, the logging sinks) are thread-safe.
  */
 
 #ifndef NANOBUS_EXEC_SUPERVISOR_HH
@@ -65,12 +67,30 @@
 #include <utility>
 #include <vector>
 
-#include "exec/sweep_runner.hh"
+#include "exec/stats.hh"
 #include "exec/thread_pool.hh"
 #include "util/result.hh"
 
 namespace nanobus {
 namespace exec {
+
+namespace detail {
+
+/** Steady clock of the deadline watchdog and the wall_ms report
+ *  fields. Wall-clock never feeds a retry or collection decision
+ *  (nbcheck rule det-wallclock; this header is an allowlisted
+ *  timing site). */
+using SupervisorClock = std::chrono::steady_clock;
+
+inline double
+millisSince(SupervisorClock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               SupervisorClock::now() - start)
+        .count();
+}
+
+} // namespace detail
 
 /** Final state of one supervised job. */
 enum class JobOutcome {
@@ -107,9 +127,6 @@ struct SupervisorPolicy
     double deadline_ms = 0.0;
     /** Monitor sleep when the pool has nothing to drain [ms]. */
     double watchdog_poll_ms = 1.0;
-    /** Drive every job to a final outcome (degraded-mode report);
-     *  false = fail-fast like the plain sweep runner. */
-    bool run_to_completion = true;
 };
 
 /**
@@ -127,6 +144,16 @@ transientError(ErrorCode code)
 {
     return code == ErrorCode::IoError;
 }
+
+/**
+ * Classifies a contained anomaly inside an otherwise-successful
+ * report as a shard failure. Returning an engaged optional fails the
+ * shard with that Error; disengaged accepts the report. The probe
+ * must be a pure function of the report.
+ */
+template <class Report>
+using ReportFaultProbe =
+    std::function<std::optional<Error>(const Report &)>;
 
 /**
  * Per-attempt liveness channel between a supervised job body and the
@@ -186,11 +213,11 @@ class JobContext
 
     std::atomic<uint64_t> heartbeats_{0};
     std::atomic<bool> abort_{false};
-    std::chrono::steady_clock::time_point start_{};
+    detail::SupervisorClock::time_point start_{};
     double deadline_ms_ = 0.0;
 };
 
-/** One supervised shard: a sweep job whose body sees its
+/** One supervised shard: an independent job whose body sees its
  *  JobContext. */
 template <class Report>
 struct BasicSupervisedJob
@@ -221,7 +248,7 @@ struct JobRecord
     Error error;
 };
 
-/** Degraded-mode outcome of a run-to-completion batch. */
+/** Degraded-mode outcome of a supervised batch. */
 template <class Report>
 struct BasicSupervisedReport
 {
@@ -275,55 +302,18 @@ class BasicSupervisor
     {
     }
 
-    /** Backoff schedule hook, re-exported for tests and callers that
-     *  predict the retry trajectory. */
-    static double retryDelayMs(const Options &options, size_t job,
-                               unsigned retry)
-    {
-        return exec::retryDelayMs(options, job, retry);
-    }
-
-    /** True when `code` is worth retrying (transient fault). */
-    static bool transientError(ErrorCode code)
-    {
-        return exec::transientError(code);
-    }
-
-    /** Adapt a plain sweep job (body pulses once per attempt). */
-    static Job fromSweepJob(BasicSweepJob<Report> job)
-    {
-        return Job{
-            std::move(job.label),
-            [body = std::move(job.body)](JobContext &context)
-                -> Result<Report> {
-                if (!context.pulse()) {
-                    return Result<Report>::failure(
-                        ErrorCode::BudgetExhausted,
-                        "attempt aborted before the shard body ran");
-                }
-                Result<Report> result = body();
-                (void)context.pulse();
-                return result;
-            }};
-    }
-
     /**
      * Run every job under supervision; blocks until each has a final
      * outcome (the calling thread is the monitor and also drains
-     * pool tasks). With run_to_completion (default) the Result is
-     * always a full batch report. In fail-fast mode a permanent
-     * failure cancels jobs that have not started and the batch
-     * surfaces the smallest-index failed job's Error, its message
-     * prefixed with the job label — transient faults still retry
-     * first, so only exhausted or permanent failures fail the batch.
+     * pool tasks). The Result is always a full batch report: job
+     * failures land in its records, never in the batch Error.
      */
     Result<Batch> run(const std::vector<Job> &jobs) const
     {
-        using Clock = detail::SweepClock;
+        using Clock = detail::SupervisorClock;
         const auto t_start = Clock::now();
         const ExecCounters before = pool_.counters();
         const size_t n = jobs.size();
-        const bool fail_fast = !options_.run_to_completion;
 
         Batch sup;
         sup.reports.resize(n);
@@ -341,7 +331,6 @@ class BasicSupervisor
             std::atomic<bool> attempt_done{false};
             std::optional<Error> error;
             std::optional<Report> report;
-            bool skipped = false;
             unsigned attempts = 0;
             bool running = false;
             bool waiting = false;
@@ -350,7 +339,6 @@ class BasicSupervisor
             std::vector<double> backoff_ms;
         };
         std::vector<Slot> slots(n);
-        std::atomic<bool> cancel{false};
         size_t finalized = 0;
 
         auto startAttempt = [&](size_t i) {
@@ -359,27 +347,18 @@ class BasicSupervisor
             slot.running = true;
             slot.error.reset();
             slot.report.reset();
-            slot.skipped = false;
             slot.attempt_done.store(false, std::memory_order_relaxed);
             slot.context = std::make_unique<JobContext>();
             slot.context->start(options_.deadline_ms);
             ++slot.attempts;
             JobContext *context = slot.context.get();
-            pool_.submit([&jobs, &slots, &cancel, fail_fast, i,
-                          context] {
+            pool_.submit([&jobs, &slots, i, context] {
                 Slot &s = slots[i];
-                if (fail_fast &&
-                    cancel.load(std::memory_order_relaxed)) {
-                    // Mirror the plain runner: shards not yet started
-                    // at cancellation never run and surface no error.
-                    s.skipped = true;
-                } else {
-                    Result<Report> result = jobs[i].body(*context);
-                    if (result.ok())
-                        s.report = result.takeValue();
-                    else
-                        s.error = result.error();
-                }
+                Result<Report> result = jobs[i].body(*context);
+                if (result.ok())
+                    s.report = result.takeValue();
+                else
+                    s.error = result.error();
                 s.attempt_done.store(true, std::memory_order_release);
             });
         };
@@ -392,9 +371,6 @@ class BasicSupervisor
             record.error = std::move(error);
             slot.finalized = true;
             ++finalized;
-            if (fail_fast && (outcome == JobOutcome::TimedOut ||
-                              outcome == JobOutcome::Quarantined))
-                cancel.store(true, std::memory_order_relaxed);
         };
 
         // Classify a completed attempt: collect the report, schedule
@@ -407,14 +383,6 @@ class BasicSupervisor
             record.heartbeats = slot.context->heartbeats();
             record.backoff_ms = slot.backoff_ms;
 
-            if (slot.skipped) {
-                // Cancelled before it started (fail-fast); keep it
-                // out of the surfaced-error scan below.
-                finalize(i, JobOutcome::Quarantined,
-                         Error{ErrorCode::BudgetExhausted,
-                               "cancelled before the shard started"});
-                return;
-            }
             if (slot.context->aborted()) {
                 // Deadline overrun is permanent: a stalled shard is
                 // not I/O flakiness, and its partial work is
@@ -454,7 +422,7 @@ class BasicSupervisor
             if (transientError(error.code) &&
                 retries_used < options_.max_retries) {
                 const double delay =
-                    exec::retryDelayMs(options_, i, retries_used);
+                    retryDelayMs(options_, i, retries_used);
                 slot.backoff_ms.push_back(delay);
                 slot.waiting = true;
                 slot.not_before =
@@ -496,19 +464,10 @@ class BasicSupervisor
                         // classifies it TimedOut once it does.
                         slot.context->abort();
                     }
-                } else if (slot.waiting) {
-                    if (fail_fast &&
-                        cancel.load(std::memory_order_relaxed)) {
-                        finalize(
-                            i, JobOutcome::Quarantined,
-                            Error{ErrorCode::BudgetExhausted,
-                                  "cancelled while awaiting retry"});
-                        slots[i].skipped = true;
-                        progressed = true;
-                    } else if (Clock::now() >= slot.not_before) {
-                        startAttempt(i);
-                        progressed = true;
-                    }
+                } else if (slot.waiting &&
+                           Clock::now() >= slot.not_before) {
+                    startAttempt(i);
+                    progressed = true;
                 }
             }
             if (finalized >= n)
@@ -517,23 +476,6 @@ class BasicSupervisor
                 std::this_thread::sleep_for(
                     std::chrono::duration<double, std::milli>(
                         options_.watchdog_poll_ms));
-            }
-        }
-
-        if (fail_fast) {
-            // Surface the smallest-index real failure, exactly as
-            // the plain runner: deterministic even when several
-            // shards fault concurrently; skipped shards don't count.
-            for (size_t i = 0; i < n; ++i) {
-                const JobRecord &record = sup.records[i];
-                if (slots[i].skipped)
-                    continue;
-                if (record.outcome == JobOutcome::TimedOut ||
-                    record.outcome == JobOutcome::Quarantined) {
-                    return Error{record.error.code,
-                                 "shard '" + jobs[i].label + "': " +
-                                     record.error.message};
-                }
             }
         }
 

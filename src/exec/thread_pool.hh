@@ -88,7 +88,7 @@ class ThreadPool
      * The process-global pool, constructed lazily on first use and
      * sized by defaultThreads(). Intended for the library hot paths
      * (BEM assembly, twin-bus runs); explicit instances are for
-     * callers that need to control sizing (tests, SweepRunner users).
+     * callers that need to control sizing (tests, Supervisor users).
      */
     static ThreadPool &global();
 

@@ -53,11 +53,31 @@ getStats(SnapshotReader &r, RunningStats &stats)
     return Status();
 }
 
+/**
+ * Read a u64 element count and refuse one the rest of the payload
+ * cannot hold before anything is allocated for it: a corrupted
+ * length field fails as a ParseError instead of driving an unbounded
+ * allocation. `element_bytes` is the smallest wire size of one
+ * element.
+ */
+[[nodiscard]] Status
+getCount(SnapshotReader &r, uint64_t &count, size_t element_bytes)
+{
+    NANOBUS_SNAP_TRY(r.getU64(count));
+    if (count <= r.remaining() / element_bytes)
+        return Status();
+    return Status::failure(
+        ErrorCode::ParseError,
+        "restoreState: " + std::to_string(count) +
+            " element(s) declared but only " +
+            std::to_string(r.remaining()) + " byte(s) left");
+}
+
 [[nodiscard]] Status
 getF64Vector(SnapshotReader &r, std::vector<double> &out)
 {
     uint64_t count = 0;
-    NANOBUS_SNAP_TRY(r.getU64(count));
+    NANOBUS_SNAP_TRY(getCount(r, count, 8));
     out.assign(static_cast<size_t>(count), 0.0);
     for (double &value : out)
         NANOBUS_SNAP_TRY(r.getF64(value));
@@ -76,7 +96,7 @@ putF64Vector(SnapshotWriter &w, const std::vector<double> &values)
 getU64Vector(SnapshotReader &r, std::vector<uint64_t> &out)
 {
     uint64_t count = 0;
-    NANOBUS_SNAP_TRY(r.getU64(count));
+    NANOBUS_SNAP_TRY(getCount(r, count, 8));
     out.assign(static_cast<size_t>(count), 0);
     for (uint64_t &value : out)
         NANOBUS_SNAP_TRY(r.getU64(value));
@@ -95,7 +115,7 @@ putU64Vector(SnapshotWriter &w, const std::vector<uint64_t> &values)
 getI64Vector(SnapshotReader &r, std::vector<int64_t> &out)
 {
     uint64_t count = 0;
-    NANOBUS_SNAP_TRY(r.getU64(count));
+    NANOBUS_SNAP_TRY(getCount(r, count, 8));
     out.assign(static_cast<size_t>(count), 0);
     for (int64_t &value : out) {
         uint64_t bits = 0;
@@ -246,7 +266,7 @@ BusSimulator::restoreState(SnapshotReader &r)
     }
 
     uint64_t word_count = 0;
-    NANOBUS_SNAP_TRY(r.getU64(word_count));
+    NANOBUS_SNAP_TRY(getCount(r, word_count, 8));
     std::vector<uint64_t> words(static_cast<size_t>(word_count), 0);
     for (uint64_t &word : words)
         NANOBUS_SNAP_TRY(r.getU64(word));
@@ -312,8 +332,9 @@ BusSimulator::restoreState(SnapshotReader &r)
     interval_energy_.self = Joules{interval_self};
     interval_energy_.coupling = Joules{interval_coupling};
 
+    // end_cycle, transmissions and five doubles per sample.
     uint64_t sample_count = 0;
-    NANOBUS_SNAP_TRY(r.getU64(sample_count));
+    NANOBUS_SNAP_TRY(getCount(r, sample_count, 7 * 8));
     samples_.clear();
     samples_.reserve(static_cast<size_t>(sample_count));
     for (uint64_t i = 0; i < sample_count; ++i) {
@@ -338,8 +359,10 @@ BusSimulator::restoreState(SnapshotReader &r)
         samples_.push_back(sample);
     }
 
+    // kind, node, temperature, cycle and the message's length
+    // prefix per fault.
     uint64_t fault_count = 0;
-    NANOBUS_SNAP_TRY(r.getU64(fault_count));
+    NANOBUS_SNAP_TRY(getCount(r, fault_count, 4 + 4 + 8 + 8 + 8));
     thermal_faults_.clear();
     thermal_faults_.reserve(static_cast<size_t>(fault_count));
     for (uint64_t i = 0; i < fault_count; ++i) {

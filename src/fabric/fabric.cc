@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "exec/parallel.hh"
 #include "util/contracts.hh"
 #include "util/logging.hh"
 
@@ -91,12 +92,11 @@ BusFabric::ingest(TrafficSource &source, uint64_t &hops,
     return transactions;
 }
 
-uint64_t
+void
 BusFabric::stepSegments(size_t begin, size_t end)
 {
     const bool coupled =
         config_.segment_coupling && segments_.size() > 1;
-    uint64_t words = 0;
     for (size_t s = begin; s < end; ++s) {
         BusSimulator &bus = *segments_[s];
 
@@ -125,12 +125,10 @@ BusFabric::stepSegments(size_t begin, size_t end)
         if (!batch.empty())
             bus.transmitBatch(batch);
         bus.advanceTo(advance_to_);
-        words += batch.size();
     }
-    return words;
 }
 
-Result<FabricRunStats>
+FabricRunStats
 BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
 {
     const unsigned n = topology_.numSegments();
@@ -143,8 +141,6 @@ BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
     stats.last_cycle = resume_cycle_;
     stats.transactions =
         ingest(source, stats.hops, stats.last_cycle);
-    stats.exec.threads = pool.size();
-    pool.fillPlacement(stats.exec);
     if (stats.transactions == 0)
         return stats;
 
@@ -165,54 +161,34 @@ BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
         },
         1);
 
-    // One SweepRunner job per segment group; the partition is a
-    // pure function of (segment count, group_size), never of the
-    // pool, and every group touches only its own segments plus the
-    // shared read-only temperature snapshot.
-    std::vector<exec::FabricGroupJob> jobs;
-    for (size_t begin = 0; begin < n; begin += config_.group_size) {
-        const size_t end =
-            std::min<size_t>(begin + config_.group_size, n);
-        exec::FabricGroupJob job;
-        job.label = "seg" + std::to_string(begin) + "-" +
-                    std::to_string(end - 1);
-        job.body = [this, begin, end]() -> Result<FabricGroupReport> {
-            FabricGroupReport report;
-            report.words = stepSegments(begin, end);
-            return report;
-        };
-        jobs.push_back(std::move(job));
-    }
-
-    const exec::FabricGroupRunner runner(pool);
     const uint64_t interval = config_.segment.interval_cycles;
     // Segments all share interval_cycles, so they cross interval
     // boundaries in lockstep; epochs resume at the first boundary
     // the previous run() left unclosed.
     uint64_t boundary = (resume_cycle_ / interval + 1) * interval;
 
-    auto runEpoch = [&]() -> Status {
+    // One parallelFor chunk per segment group: the partition is a
+    // pure function of (segment count, group_size), never of the
+    // pool, and every group touches only its own segments plus the
+    // shared read-only temperature snapshot.
+    auto runEpoch = [&] {
         for (unsigned s = 0; s < n; ++s)
             temps_[s] = segments_[s]
                             ->thermalNetwork()
                             .averageTemperature()
                             .raw();
-        Result<exec::FabricGroupBatch> batch = runner.run(jobs);
-        if (!batch.ok())
-            return Status::failure(batch.error().code,
-                                   batch.error().message);
-        stats.exec.tasks_run += batch.value().exec.tasks_run;
-        stats.exec.steals += batch.value().exec.steals;
-        stats.exec.wall_ms += batch.value().exec.wall_ms;
-        return Status();
+        exec::parallelFor(
+            pool, n,
+            [this](size_t begin, size_t end) {
+                stepSegments(begin, end);
+            },
+            config_.group_size);
     };
 
     while (boundary <= stats.last_cycle) {
         window_end_ = boundary;
         advance_to_ = boundary;
-        Status stepped = runEpoch();
-        if (!stepped.ok())
-            return stepped.error();
+        runEpoch();
         ++stats.epochs;
         boundary += interval;
     }
@@ -223,9 +199,7 @@ BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
     // the boundary-power refresh is bookkeeping only.
     window_end_ = stats.last_cycle + 1;
     advance_to_ = stats.last_cycle;
-    Status stepped = runEpoch();
-    if (!stepped.ok())
-        return stepped.error();
+    runEpoch();
 
     for (unsigned s = 0; s < n; ++s) {
         NANOBUS_EXPECT(cursor_[s] == pending_[s].size(),
@@ -299,17 +273,15 @@ supervisedFabricRunJob(std::string label, const TechnologyNode &tech,
             return Result<FabricRunReport>::failure(
                 ErrorCode::BudgetExhausted,
                 "fabric run aborted before start");
-        Result<FabricRunStats> stats =
+        FabricRunStats stats =
             fabric.run(source, exec::ThreadPool::global());
-        if (!stats.ok())
-            return stats.error();
         if (!ctx.pulse())
             return Result<FabricRunReport>::failure(
                 ErrorCode::BudgetExhausted,
                 "fabric run aborted after completion");
 
         FabricRunReport report;
-        report.stats = stats.takeValue();
+        report.stats = stats;
         report.segments.reserve(fabric.numSegments());
         for (unsigned s = 0; s < fabric.numSegments(); ++s)
             report.segments.push_back(fabric.summarize(s));

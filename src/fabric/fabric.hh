@@ -10,11 +10,10 @@
  * Simulation advances in interval-lockstep epochs: at each interval
  * boundary the fabric snapshots every segment's mean temperature,
  * then steps all segments through the next interval *independently*
- * and in parallel (sharded over the exec ThreadPool via
- * BasicSweepRunner, one job per segment group), each folding a
- * frozen inter-segment conductance term — heat exchanged with
- * physically adjacent segments, Jacobi-style — into its interval
- * thermal close.
+ * and in parallel (an exec::parallelFor over segment groups), each
+ * folding a frozen inter-segment conductance term — heat exchanged
+ * with physically adjacent segments, Jacobi-style — into its
+ * interval thermal close.
  *
  * Determinism contract (docs/FABRIC.md): a fabric run is a pure
  * function of (technology, config, transaction stream). Segment
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "exec/supervisor.hh"
-#include "exec/sweep_runner.hh"
 #include "exec/thread_pool.hh"
 #include "fabric/bus_sim.hh"
 #include "fabric/topology.hh"
@@ -67,8 +65,8 @@ struct FabricConfig
      * heat by construction.
      */
     KelvinMetersPerWatt segment_resistance{50.0};
-    /** Segments per SweepRunner job. Grouping never changes results
-     *  — only scheduling granularity. */
+    /** Segments per parallelFor chunk. Grouping never changes
+     *  results — only scheduling granularity. */
     size_t group_size = 1;
 };
 
@@ -95,8 +93,6 @@ struct FabricRunStats
     uint64_t last_cycle = 0;
     /** Interval epochs stepped. */
     uint64_t epochs = 0;
-    /** Pool counters accumulated over all epoch batches. */
-    exec::ExecStats exec;
 };
 
 /**
@@ -113,20 +109,9 @@ struct FabricRunReport
     size_t thermal_faults = 0;
 };
 
-/** Payload of one segment-group shard within an epoch. */
-struct FabricGroupReport
-{
-    exec::ExecStats exec;
-    /** Bus words the group's segments clocked in this epoch. */
-    uint64_t words = 0;
-};
-
 namespace exec {
 
-/** Fabric instantiations of the generic execution layer. */
-using FabricGroupJob = BasicSweepJob<FabricGroupReport>;
-using FabricGroupBatch = BasicBatchReport<FabricGroupReport>;
-using FabricGroupRunner = BasicSweepRunner<FabricGroupReport>;
+/** Fabric instantiation of the supervised execution layer. */
 using SupervisedFabricJob = BasicSupervisedJob<FabricRunReport>;
 using SupervisedFabricReport = BasicSupervisedReport<FabricRunReport>;
 using FabricSupervisor = BasicSupervisor<FabricRunReport>;
@@ -151,11 +136,10 @@ class BusFabric
      * cycle in interval-lockstep epochs sharded over `pool`. May be
      * called repeatedly; later calls continue simulated time (the
      * next stream's cycles must not precede the previous last
-     * cycle). Fails only if a segment-group shard fails — contained
-     * thermal faults degrade fidelity, not completion.
+     * cycle). Contained thermal faults degrade fidelity, not
+     * completion.
      */
-    [[nodiscard]] Result<FabricRunStats>
-    run(TrafficSource &source, exec::ThreadPool &pool);
+    FabricRunStats run(TrafficSource &source, exec::ThreadPool &pool);
 
     /** Per-segment rollup for reports. */
     SegmentSummary summarize(unsigned s) const;
@@ -184,7 +168,7 @@ class BusFabric
 
     /** Step segments [begin, end): feed pending words below
      *  `window_end`, then advance to `advance_to`. */
-    uint64_t stepSegments(size_t begin, size_t end);
+    void stepSegments(size_t begin, size_t end);
 
     const TechnologyNode &tech_;
     FabricConfig config_;
@@ -195,15 +179,15 @@ class BusFabric
      *  each run's epoch loop. */
     std::vector<std::vector<PendingWord>> pending_;
     std::vector<size_t> cursor_;
-    /** Per-segment batch scratch; segment-exclusive, so group jobs
-     *  touch disjoint entries. */
+    /** Per-segment batch scratch; segment-exclusive, so segment
+     *  groups touch disjoint entries. */
     std::vector<BusBatch> batch_scratch_;
     /** Mean segment temperatures frozen at the epoch boundary. */
     std::vector<double> temps_;
     /** Route scratch for ingest (single-threaded). */
     std::vector<unsigned> route_scratch_;
 
-    /** Epoch window the group jobs currently execute. */
+    /** Epoch window the segment groups currently execute. */
     uint64_t window_end_ = 0;
     uint64_t advance_to_ = 0;
 

@@ -183,21 +183,4 @@ tryRobustTraceSweep(const std::string &trace_path,
     return report;
 }
 
-SweepReport
-runRobustTraceSweep(const std::string &trace_path,
-                    const TechnologyNode &tech,
-                    const BusSimConfig &config, const Matrix *maxwell,
-                    size_t trace_error_budget, exec::ThreadPool *pool)
-{
-    RobustSweepOptions options;
-    options.trace_error_budget = trace_error_budget;
-    Result<SweepReport> report = tryRobustTraceSweep(
-        trace_path, tech, config, maxwell, options, pool);
-    if (!report.ok()) {
-        fatal("runRobustTraceSweep: trace stream failed (%s)",
-              report.error().describe().c_str());
-    }
-    return report.takeValue();
-}
-
 } // namespace nanobus

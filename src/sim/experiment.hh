@@ -112,7 +112,7 @@ EnergyCell runEnergyStudy(const std::string &benchmark,
                           exec::ThreadPool *pool = nullptr);
 
 /**
- * Outcome of a fault-tolerant trace sweep (runRobustTraceSweep).
+ * Outcome of a fault-tolerant trace sweep (tryRobustTraceSweep).
  *
  * `completed` is true whenever the sweep ran to the end of the
  * trace, even if it had to skip malformed lines, fall back to the
@@ -143,7 +143,7 @@ struct SweepReport
     EnergyBreakdown data_energy;
     /**
      * Execution counters for this sweep: wall-clock, pool size, and
-     * (when run through a SweepRunner batch) tasks/steals observed.
+     * (when run through a Supervisor batch) the pool placement.
      * Zero-initialized threads == 1 means the sweep never touched
      * the parallel runtime.
      */
@@ -194,18 +194,6 @@ Result<SweepReport> tryRobustTraceSweep(
     const BusSimConfig &config, const Matrix *maxwell = nullptr,
     const RobustSweepOptions &options = RobustSweepOptions(),
     exec::ThreadPool *pool = nullptr);
-
-/**
- * tryRobustTraceSweep with every stream-level failure escalated to
- * fatal() — the historical entry point for drivers with no retry
- * policy of their own.
- */
-SweepReport runRobustTraceSweep(const std::string &trace_path,
-                                const TechnologyNode &tech,
-                                const BusSimConfig &config,
-                                const Matrix *maxwell = nullptr,
-                                size_t trace_error_budget = 1000,
-                                exec::ThreadPool *pool = nullptr);
 
 } // namespace nanobus
 

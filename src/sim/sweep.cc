@@ -24,20 +24,6 @@ thermalFaultProbe()
     };
 }
 
-exec::SweepJob
-traceSweepJob(std::string label, std::string trace_path,
-              const TechnologyNode &tech, BusSimConfig config,
-              size_t trace_error_budget)
-{
-    return exec::SweepJob{
-        std::move(label),
-        [trace_path = std::move(trace_path), &tech, config,
-         trace_error_budget]() -> Result<SweepReport> {
-            return runRobustTraceSweep(trace_path, tech, config,
-                                       nullptr, trace_error_budget);
-        }};
-}
-
 exec::SupervisedJob
 supervisedTraceSweepJob(std::string label, std::string trace_path,
                         const TechnologyNode &tech,

@@ -1,17 +1,15 @@
 /**
  * @file
- * Simulation instantiation of the generic sweep-execution layer.
+ * Simulation instantiation of the supervised execution layer.
  *
- * exec/sweep_runner.hh and exec/supervisor.hh are generic over the
- * report payload so the execution runtime never includes simulation
- * headers (docs/STATIC_ANALYSIS.md, layering DAG). This header sits
- * above both layers and binds them together:
+ * exec/supervisor.hh is generic over the report payload so the
+ * execution runtime never includes simulation headers
+ * (docs/STATIC_ANALYSIS.md, layering DAG). This header sits above
+ * both layers and binds them together:
  *
- *  - the `exec::SweepRunner` / `exec::Supervisor` aliases every
- *    driver uses, instantiated with SweepReport;
- *  - the convenience job builders (traceSweepJob,
- *    supervisedTraceSweepJob) that wrap one robust trace sweep as a
- *    shard;
+ *  - the `exec::Supervisor` aliases, instantiated with SweepReport;
+ *  - supervisedTraceSweepJob, the job builder that wraps one robust
+ *    trace sweep as a shard;
  *  - thermalFaultProbe(), the report-rejection hook that restores
  *    the old `fault_on_thermal` behaviour: a contained ThermalFault
  *    inside an otherwise-successful report fails the shard with
@@ -24,7 +22,6 @@
 #include <string>
 
 #include "exec/supervisor.hh"
-#include "exec/sweep_runner.hh"
 #include "sim/experiment.hh"
 
 namespace nanobus {
@@ -32,9 +29,6 @@ namespace nanobus {
 namespace exec {
 
 /** The simulation sweep vocabulary, bound to SweepReport. */
-using SweepJob = BasicSweepJob<SweepReport>;
-using BatchReport = BasicBatchReport<SweepReport>;
-using SweepRunner = BasicSweepRunner<SweepReport>;
 using SupervisedJob = BasicSupervisedJob<SweepReport>;
 using SupervisedReport = BasicSupervisedReport<SweepReport>;
 using Supervisor = BasicSupervisor<SweepReport>;
@@ -44,30 +38,19 @@ using Supervisor = BasicSupervisor<SweepReport>;
 /**
  * Report-rejection probe that fails a shard whose report contains a
  * ThermalFault (ErrorCode::ThermalRunaway, first fault's message).
- * Install into SweepRunner/Supervisor Options::fault_probe to treat
+ * Install into Supervisor::Options::fault_probe to treat
  * contained thermal anomalies as shard failures rather than degraded
  * fidelity.
  */
 exec::ReportFaultProbe<SweepReport> thermalFaultProbe();
 
 /**
- * Convenience shard builder: one runRobustTraceSweep cell. The body
- * runs the robust sweep inside the shard (the sweep's own nested
- * parallelism degrades to serial by policy); whether a contained
- * ThermalFault fails the shard is the *runner's*
- * Options::fault_probe decision, applied uniformly when the batch is
- * collected.
- */
-exec::SweepJob traceSweepJob(std::string label, std::string trace_path,
-                             const TechnologyNode &tech,
-                             BusSimConfig config,
-                             size_t trace_error_budget = 1000);
-
-/**
  * Supervised shard builder: one tryRobustTraceSweep cell, pulsing
  * around the sweep. Per-attempt isolation comes free — the body
  * constructs its reader and simulators from scratch on every
- * attempt.
+ * attempt. The sweep's own nested parallelism degrades to serial by
+ * policy; whether a contained ThermalFault fails the shard is the
+ * supervisor's Options::fault_probe decision.
  */
 exec::SupervisedJob supervisedTraceSweepJob(
     std::string label, std::string trace_path,

@@ -139,10 +139,10 @@ PrefetchReader::startFill()
     // read-ahead — same batches, same bits, no threads.
     pool_.submit([this] {
         fillBack();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            fill_done_ = true;
-        }
+        // Notify under the lock: once the consumer sees fill_done_ it
+        // may destroy the reader, condition variable included.
+        std::lock_guard<std::mutex> lock(mutex_);
+        fill_done_ = true;
         cv_.notify_all();
     });
 }

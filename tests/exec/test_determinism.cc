@@ -100,8 +100,9 @@ TEST(Determinism, TraceSweepReportBitIdenticalAcrossPoolSizes)
 
     auto runAt = [&](unsigned threads) {
         exec::ThreadPool pool(threads);
-        return runRobustTraceSweep(path, tech130, config, nullptr,
-                                   1000, &pool);
+        return tryRobustTraceSweep(path, tech130, config, nullptr,
+                                   RobustSweepOptions(), &pool)
+            .takeValue();
     };
 
     const SweepReport serial = runAt(1);

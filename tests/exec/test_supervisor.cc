@@ -1,17 +1,20 @@
 /**
  * @file
- * Supervisor tests: ordered degraded-mode reports, bit-identical
- * results across pool sizes, deterministic retry/backoff on injected
- * transient I/O faults, quarantine of permanent failures and
- * exhausted retry budgets, the Stall-driven heartbeat watchdog
- * (including the pool-size-1 self-deadline escape), and the
- * fail-fast compatibility mode that mirrors SweepRunner.
+ * Supervisor tests: ordered degraded-mode reports (also when shards
+ * finish in inverted order), bit-identical results across pool
+ * sizes, deterministic retry/backoff on injected transient I/O
+ * faults, quarantine of permanent failures and exhausted retry
+ * budgets, the thermal-fault probe on an injected RK4 failure, and
+ * the Stall-driven heartbeat watchdog (including the pool-size-1
+ * self-deadline escape).
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/sweep.hh"
@@ -115,6 +118,40 @@ TEST_F(SupervisorTest, CleanBatchAllOkInJobOrder)
     EXPECT_GE(sup.exec.tasks_run, 3u);
 }
 
+TEST_F(SupervisorTest, CollectsReportsInJobOrder)
+{
+    // Shards finish in inverted order (earlier jobs sleep longer);
+    // reports must still land by index.
+    exec::ThreadPool pool(4);
+    exec::Supervisor supervisor(pool);
+    std::vector<exec::SupervisedJob> jobs;
+    for (size_t i = 0; i < 6; ++i) {
+        jobs.push_back({"job" + std::to_string(i),
+                        [i](exec::JobContext &) -> Result<SweepReport> {
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(
+                                    (6 - i) * 3));
+                            SweepReport r;
+                            r.records = i * 10;
+                            r.completed = true;
+                            return r;
+                        }});
+    }
+
+    Result<exec::SupervisedReport> run = supervisor.run(jobs);
+    ASSERT_TRUE(run.ok());
+    const exec::SupervisedReport &sup = run.value();
+    ASSERT_EQ(sup.reports.size(), jobs.size());
+    EXPECT_EQ(sup.ok_count, jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(sup.reports[i].records, i * 10);
+        EXPECT_EQ(sup.reports[i].exec.threads, 4u);
+        EXPECT_GE(sup.reports[i].exec.wall_ms, 0.0);
+    }
+    EXPECT_EQ(sup.exec.threads, 4u);
+    EXPECT_GE(sup.exec.tasks_run, jobs.size());
+}
+
 TEST_F(SupervisorTest, ReportsBitIdenticalAcrossPoolSizes)
 {
     // Acceptance pin: for jobs that succeed, supervised results are
@@ -165,8 +202,7 @@ TEST_F(SupervisorTest, TransientIoRetriesToSuccess)
     // The backoff applied is exactly the pure-function delay for
     // (job 0, retry 0) — no wall-clock in the decision path.
     EXPECT_EQ(sup.records[0].backoff_ms[0],
-              exec::Supervisor::retryDelayMs(
-                  exec::Supervisor::Options{}, 0, 0));
+              exec::retryDelayMs(exec::Supervisor::Options{}, 0, 0));
     expectSameEnergies(clean.value().reports[0], sup.reports[0]);
 }
 
@@ -221,6 +257,67 @@ TEST_F(SupervisorTest, PermanentErrorQuarantinesWithoutRetry)
     EXPECT_EQ(sup.records[0].attempts, 1u);
     EXPECT_EQ(sup.records[0].error.code, ErrorCode::ParseError);
     EXPECT_EQ(sup.records[1].outcome, exec::JobOutcome::Ok);
+}
+
+TEST_F(SupervisorTest, ThermalFaultProbeQuarantinesInjectedRk4Fault)
+{
+    // An injected NaN RK4 step, with step-halving retries disabled,
+    // leaves a contained ThermalFault in the report; the probe turns
+    // it into a permanent ThermalRunaway failure, so the job is
+    // quarantined after exactly one attempt. The trigger repeats, so
+    // every interval close of the shard is hit.
+    BusSimConfig config = sweepConfig();
+    config.thermal.solver = ThermalSolver::Rk4; // RK4-only fault site
+    config.thermal.max_integration_retries = 0;
+
+    exec::ThreadPool pool(4);
+    exec::Supervisor::Options options;
+    options.fault_probe = thermalFaultProbe();
+    exec::Supervisor supervisor(pool, options);
+
+    FaultInjector::instance().armCallFault(FaultSite::Rk4Step, 1, 1);
+    Result<exec::SupervisedReport> run = supervisor.run(
+        {supervisedTraceSweepJob("shard0", path_, tech130, config)});
+    FaultInjector::instance().reset();
+
+    ASSERT_TRUE(run.ok());
+    const exec::SupervisedReport &sup = run.value();
+    EXPECT_EQ(sup.quarantined_count, 1u);
+    ASSERT_EQ(sup.records[0].outcome, exec::JobOutcome::Quarantined);
+    EXPECT_EQ(sup.records[0].attempts, 1u);
+    EXPECT_EQ(sup.records[0].error.code, ErrorCode::ThermalRunaway);
+
+    // The pool survived the failed job: a clean follow-up batch
+    // completes (this would hang on a leaked task or a dead worker).
+    Result<exec::SupervisedReport> clean =
+        supervisor.run(makeJobs(1));
+    ASSERT_TRUE(clean.ok());
+    EXPECT_TRUE(clean.value().allSucceeded());
+    EXPECT_TRUE(clean.value().reports[0].completed);
+}
+
+TEST_F(SupervisorTest, ContainedFaultsDoNotFailJobWithoutProbe)
+{
+    // No probe: contained thermal faults degrade fidelity and stay
+    // visible in the job's report, but the job ends Ok.
+    BusSimConfig config = sweepConfig();
+    config.thermal.solver = ThermalSolver::Rk4; // RK4-only fault site
+    config.thermal.max_integration_retries = 0;
+
+    exec::ThreadPool pool(2);
+    exec::Supervisor supervisor(pool);
+    FaultInjector::instance().armCallFault(FaultSite::Rk4Step, 1, 1);
+    Result<exec::SupervisedReport> run = supervisor.run(
+        {supervisedTraceSweepJob("tolerant", path_, tech130, config)});
+    FaultInjector::instance().reset();
+
+    ASSERT_TRUE(run.ok());
+    EXPECT_EQ(run.value().records[0].outcome, exec::JobOutcome::Ok);
+    const SweepReport &report = run.value().reports[0];
+    EXPECT_TRUE(report.completed);
+    EXPECT_GT(report.instruction_faults.size() +
+                  report.data_faults.size(),
+              0u);
 }
 
 TEST_F(SupervisorTest, StallTimesOutWhileOtherShardsComplete)
@@ -285,59 +382,6 @@ TEST_F(SupervisorTest, StallEscapesViaSelfDeadlineAtPoolSizeOne)
     EXPECT_EQ(run.value().timed_out_count, 1u);
 }
 
-TEST_F(SupervisorTest, FailFastSurfacesSmallestLabeledError)
-{
-    // SweepRunner-compatible mode: serial pool, job1 fails
-    // permanently; job2 is cancelled unstarted and the batch error
-    // carries job1's label and code.
-    exec::ThreadPool pool(1);
-    exec::Supervisor::Options options;
-    options.run_to_completion = false;
-    exec::Supervisor supervisor(pool, options);
-    auto ok = [](exec::JobContext &ctx) -> Result<SweepReport> {
-        (void)ctx.pulse();
-        SweepReport r;
-        r.completed = true;
-        return r;
-    };
-    std::vector<exec::SupervisedJob> jobs;
-    jobs.push_back({"job0", ok});
-    jobs.push_back(
-        {"job1", [](exec::JobContext &ctx) -> Result<SweepReport> {
-             (void)ctx.pulse();
-             return Result<SweepReport>::failure(
-                 ErrorCode::ParseError, "bad shard");
-         }});
-    jobs.push_back({"job2", ok});
-
-    Result<exec::SupervisedReport> run = supervisor.run(jobs);
-    ASSERT_FALSE(run.ok());
-    EXPECT_EQ(run.error().code, ErrorCode::ParseError);
-    EXPECT_NE(run.error().message.find("shard 'job1'"),
-              std::string::npos);
-    EXPECT_NE(run.error().message.find("bad shard"),
-              std::string::npos);
-}
-
-TEST_F(SupervisorTest, FailFastStillRetriesTransients)
-{
-    // Fail-fast only surfaces *exhausted or permanent* failures; a
-    // single transient fault still retries to success.
-    exec::ThreadPool pool(1);
-    exec::Supervisor::Options options;
-    options.run_to_completion = false;
-    exec::Supervisor supervisor(pool, options);
-
-    FaultInjector::instance().armCallFault(FaultSite::TransientIo, 1);
-    Result<exec::SupervisedReport> run =
-        supervisor.run(makeJobs(2));
-    FaultInjector::instance().reset();
-
-    ASSERT_TRUE(run.ok());
-    EXPECT_TRUE(run.value().allSucceeded());
-    EXPECT_EQ(run.value().retried_count, 1u);
-}
-
 TEST_F(SupervisorTest, RetryDelayIsPureAndBounded)
 {
     exec::Supervisor::Options options;
@@ -347,9 +391,8 @@ TEST_F(SupervisorTest, RetryDelayIsPureAndBounded)
         double bound = options.backoff_base_ms;
         for (unsigned retry = 0; retry < 4; ++retry) {
             const double delay =
-                exec::Supervisor::retryDelayMs(options, job, retry);
-            EXPECT_EQ(delay, exec::Supervisor::retryDelayMs(
-                                 options, job, retry));
+                exec::retryDelayMs(options, job, retry);
+            EXPECT_EQ(delay, exec::retryDelayMs(options, job, retry));
             EXPECT_GE(delay, 0.0);
             EXPECT_LT(delay, bound);
             bound *= options.backoff_factor;
@@ -358,26 +401,8 @@ TEST_F(SupervisorTest, RetryDelayIsPureAndBounded)
     // A different seed draws different delays.
     exec::Supervisor::Options reseeded = options;
     reseeded.backoff_seed ^= 0x1234abcdull;
-    EXPECT_NE(exec::Supervisor::retryDelayMs(options, 0, 1),
-              exec::Supervisor::retryDelayMs(reseeded, 0, 1));
-}
-
-TEST_F(SupervisorTest, FromSweepJobAdaptsPlainBodies)
-{
-    exec::ThreadPool pool(2);
-    exec::Supervisor supervisor(pool);
-    exec::SweepJob plain{"plain", []() -> Result<SweepReport> {
-                             SweepReport r;
-                             r.records = 42;
-                             r.completed = true;
-                             return r;
-                         }};
-    Result<exec::SupervisedReport> run = supervisor.run(
-        {exec::Supervisor::fromSweepJob(std::move(plain))});
-    ASSERT_TRUE(run.ok());
-    EXPECT_EQ(run.value().records[0].outcome, exec::JobOutcome::Ok);
-    EXPECT_EQ(run.value().reports[0].records, 42u);
-    EXPECT_GE(run.value().records[0].heartbeats, 2u);
+    EXPECT_NE(exec::retryDelayMs(options, 0, 1),
+              exec::retryDelayMs(reseeded, 0, 1));
 }
 
 TEST_F(SupervisorTest, EmptyBatchSucceeds)

@@ -104,8 +104,9 @@ TEST(ThreadPool, CallerPopsCountAsSteals)
     std::shared_future<void> gate(release.get_future());
 
     // Park the single worker inside a task so only the caller can
-    // drain what we queue next.
-    pool.submit([&] {
+    // drain what we queue next. The task owns its copy of the gate:
+    // the worker leaves gate.wait() after this frame may be gone.
+    pool.submit([&worker_parked, gate] {
         worker_parked = true;
         gate.wait();
     });

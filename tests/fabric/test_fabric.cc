@@ -241,12 +241,12 @@ TEST(FabricCoupling, HeatFlowsIntoIdleNeighbor)
 
     BusFabric coupled(tech130, config);
     VectorTrafficSource source_a(txs);
-    ASSERT_TRUE(coupled.run(source_a, pool).ok());
+    coupled.run(source_a, pool);
 
     config.segment_coupling = false;
     BusFabric isolated(tech130, config);
     VectorTrafficSource source_b(txs);
-    ASSERT_TRUE(isolated.run(source_b, pool).ok());
+    isolated.run(source_b, pool);
 
     const double coupled_idle =
         coupled.segment(1).thermalNetwork().averageTemperature().raw();
@@ -330,7 +330,7 @@ TEST(FabricContinuation, SplitRunsMatchCombinedRun)
 
     BusFabric combined(tech130, config);
     VectorTrafficSource whole(all);
-    ASSERT_TRUE(combined.run(whole, pool).ok());
+    combined.run(whole, pool);
 
     // First cut past one-third of the stream where everything
     // injected before it has finished its last hop.
@@ -357,8 +357,8 @@ TEST(FabricContinuation, SplitRunsMatchCombinedRun)
         std::vector<FabricTransaction>(all.begin() +
                                            static_cast<long>(cut),
                                        all.end()));
-    ASSERT_TRUE(split.run(first, pool).ok());
-    ASSERT_TRUE(split.run(second, pool).ok());
+    split.run(first, pool);
+    split.run(second, pool);
 
     const std::vector<double> a = fabricFingerprint(combined);
     const std::vector<double> b = fabricFingerprint(split);

@@ -55,6 +55,19 @@ class FaultInjectionSweep : public ::testing::Test
         std::remove(path_.c_str());
     }
 
+    /** One robust sweep over the fixture's trace; a stream-level
+     *  Error fails the test and yields an incomplete report. */
+    SweepReport sweep(const BusSimConfig &config, const Matrix *maxwell,
+                      size_t trace_error_budget)
+    {
+        RobustSweepOptions options;
+        options.trace_error_budget = trace_error_budget;
+        Result<SweepReport> report =
+            tryRobustTraceSweep(path_, tech130, config, maxwell, options);
+        EXPECT_TRUE(report.ok()) << report.error().describe();
+        return report.ok() ? report.takeValue() : SweepReport();
+    }
+
     /**
      * Alternating fetch/load traffic over `n` cycles. Each bus sees
      * full-width address flips (0x0 <-> 0xffffffff) so the traffic
@@ -110,8 +123,7 @@ TEST_F(FaultInjectionSweep, CorruptedInputsDegradeButComplete)
     FaultInjector::perturbEntries(maxwell.rowPtr(0), 16 * 16, 0.02,
                                   2026);
 
-    SweepReport report = runRobustTraceSweep(
-        path_, tech130, sweepConfig(), &maxwell, 1000);
+    SweepReport report = sweep(sweepConfig(), &maxwell, 1000);
     FaultInjector::instance().reset();
 
     // The sweep ran to the end of the trace...
@@ -150,8 +162,7 @@ TEST_F(FaultInjectionSweep, IllConditionedMatrixFallsBackWithWarning)
     maxwell(7, 8) = maxwell(8, 8);
     maxwell(8, 7) = maxwell(8, 8);
 
-    SweepReport report = runRobustTraceSweep(
-        path_, tech130, sweepConfig(), &maxwell, 10);
+    SweepReport report = sweep(sweepConfig(), &maxwell, 10);
 
     EXPECT_TRUE(report.completed);
     EXPECT_EQ(report.records, 500u);
@@ -171,8 +182,7 @@ TEST_F(FaultInjectionSweep, MisSizedMatrixFallsBackToAnalytical)
     for (unsigned i = 0; i < 8; ++i)
         wrong(i, i) = tech130.c_line.raw();
 
-    SweepReport report = runRobustTraceSweep(
-        path_, tech130, sweepConfig(), &wrong, 10);
+    SweepReport report = sweep(sweepConfig(), &wrong, 10);
 
     EXPECT_TRUE(report.completed);
     EXPECT_TRUE(report.analytical_fallback);
@@ -189,8 +199,7 @@ TEST_F(FaultInjectionSweep, ThermalFaultsPropagateIntoReport)
     config.thermal.temperature_ceiling =
         config.initial_temperature + Kelvin{1e-4};
 
-    SweepReport report =
-        runRobustTraceSweep(path_, tech130, config, nullptr, 0);
+    SweepReport report = sweep(config, nullptr, 0);
 
     EXPECT_TRUE(report.completed);
     EXPECT_FALSE(report.instruction_faults.empty());
@@ -205,17 +214,28 @@ TEST_F(FaultInjectionSweep, ThermalFaultsPropagateIntoReport)
 TEST_F(FaultInjectionSweep, ExhaustedTraceBudgetIsStillFatal)
 {
     // The budget is a containment boundary, not a blank check: a
-    // trace that is mostly garbage must still stop the run.
+    // trace that is mostly garbage must still stop the run. In a
+    // process the reader's fatal() exits; with setAbortOnError(false)
+    // the batch reader latches the thrown FatalError, so the sweep
+    // stops with an IoError instead of a report.
     {
         std::ofstream out(path_);
         for (int i = 0; i < 50; ++i)
             out << "complete garbage line " << i << "\n";
     }
+    RobustSweepOptions options;
+    options.trace_error_budget = 5;
     setAbortOnError(false);
-    EXPECT_THROW(runRobustTraceSweep(path_, tech130, sweepConfig(),
-                                     nullptr, 5),
-                 FatalError);
+    Result<SweepReport> report = tryRobustTraceSweep(
+        path_, tech130, sweepConfig(), nullptr, options);
     setAbortOnError(true);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.error().code, ErrorCode::IoError);
+
+    // Within budget the same trace only degrades the sweep.
+    const SweepReport tolerated = sweep(sweepConfig(), nullptr, 1000);
+    EXPECT_TRUE(tolerated.completed);
+    EXPECT_EQ(tolerated.skipped_lines, 50u);
 }
 
 } // anonymous namespace

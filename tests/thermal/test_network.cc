@@ -294,6 +294,7 @@ TEST(ThermalNet, CheckedAdvanceContainsPersistentNaN)
 {
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
     ThermalConfig config = noStack();
+    config.solver = ThermalSolver::Rk4; // the fault site is RK4-only
     config.max_integration_retries = 0; // halving disabled
     ThermalNetwork net(tech, 2, config);
     net.reset(Kelvin{ambient});
@@ -323,6 +324,7 @@ TEST(ThermalNet, CheckedAdvanceDetectsFiniteDivergence)
     double tau_fast = 5.0 * probe.stepWidth().raw(); // dt = 0.2 tau
 
     ThermalConfig config = noStack();
+    config.solver = ThermalSolver::Rk4; // explicit-step instability
     config.max_dt = Seconds{3.1 * tau_fast}; // |R(z)| ~ 1.6
     config.temperature_ceiling =
         Kelvin{0.0}; // isolate the divergence guard
