@@ -20,7 +20,6 @@
 
 #include "exec/stats.hh"
 #include "exec/thread_pool.hh"
-#include "exec/topology.hh"
 #include "thermal/network.hh"
 #include "util/atomicfile.hh"
 #include "util/result.hh"
@@ -82,30 +81,17 @@ class Flags
     std::vector<std::string> args_;
 };
 
-// Declared below Flags so ExecFlags::parse can use it.
-inline exec::PinPolicy pinPolicyFromFlags(const Flags &flags);
-
 /**
- * The execution knobs every parallel bench driver shares:
- * `--threads=N` (default: the hardware pool size) and
- * `--pinning=none|compact|scatter` (default: NANOBUS_PINNING, then
- * none). Parsed in one place so the drivers cannot drift on flag
- * names or defaults.
+ * Pool size from `--threads=N`, the one execution knob every
+ * parallel bench driver shares (default: ThreadPool::defaultThreads,
+ * i.e. NANOBUS_THREADS, then the hardware concurrency).
  */
-struct ExecFlags
+inline unsigned
+threadsFromFlags(const Flags &flags)
 {
-    unsigned threads = 1;
-    exec::PinPolicy pinning = exec::PinPolicy::None;
-
-    static ExecFlags parse(const Flags &flags)
-    {
-        ExecFlags exec_flags;
-        exec_flags.threads = static_cast<unsigned>(flags.getU64(
-            "threads", exec::ThreadPool::defaultThreads()));
-        exec_flags.pinning = pinPolicyFromFlags(flags);
-        return exec_flags;
-    }
-};
+    return static_cast<unsigned>(
+        flags.getU64("threads", exec::ThreadPool::defaultThreads()));
+}
 
 /** Steady-clock stopwatch for shard and batch wall time. */
 class WallTimer
@@ -173,19 +159,6 @@ class RunMeta
         steals_ = counters.steals;
     }
 
-    /**
-     * Attach the pool's worker-placement outcome: the policy name
-     * ("none"/"compact"/"scatter") and the pinned-worker count per
-     * NUMA node. An empty count vector means nothing was pinned
-     * (policy none, single-node host, or unsupported platform).
-     */
-    void setPlacement(const char *pinning,
-                      std::vector<unsigned> workers_per_node)
-    {
-        pinning_ = pinning;
-        workers_per_node_ = std::move(workers_per_node);
-    }
-
     /** Attach the run's supervision tallies (retry/deadline path). */
     void setSupervisor(const SupervisorSummary &summary)
     {
@@ -242,15 +215,8 @@ class RunMeta
         std::snprintf(buf, sizeof(buf), "  \"threads\": %u,\n",
                       threads_);
         json += buf;
-        json += "  \"pinning\": \"" + pinning_ +
-            "\",\n  \"workers_per_node\": [";
-        for (size_t i = 0; i < workers_per_node_.size(); ++i) {
-            std::snprintf(buf, sizeof(buf), "%s%u", i ? ", " : "",
-                          workers_per_node_[i]);
-            json += buf;
-        }
         std::snprintf(buf, sizeof(buf),
-                      "],\n  \"total_wall_ms\": %.3f,\n"
+                      "  \"total_wall_ms\": %.3f,\n"
                       "  \"shard_total_ms\": %.3f,\n"
                       "  \"tasks_run\": %llu,\n  \"steals\": %llu,\n",
                       total_wall_ms, shardTotalMs(),
@@ -306,26 +272,18 @@ class RunMeta
     /** One-line human summary of the scaling evidence. */
     void printSummary(double total_wall_ms) const
     {
-        std::printf("[exec] threads=%u pinning=%s shards=%zu "
+        std::printf("[exec] threads=%u shards=%zu "
                     "wall=%.1f ms (shard total %.1f ms, tasks=%llu, "
                     "steals=%llu)\n",
-                    threads_, pinning_.c_str(), labels_.size(),
+                    threads_, labels_.size(),
                     total_wall_ms, shardTotalMs(),
                     static_cast<unsigned long long>(tasks_run_),
                     static_cast<unsigned long long>(steals_));
-        if (!workers_per_node_.empty()) {
-            std::printf("[exec] pinned workers per node:");
-            for (size_t i = 0; i < workers_per_node_.size(); ++i)
-                std::printf(" node%zu=%u", i, workers_per_node_[i]);
-            std::printf("\n");
-        }
     }
 
   private:
     std::string name_;
     unsigned threads_;
-    std::string pinning_ = "none";
-    std::vector<unsigned> workers_per_node_;
     std::vector<std::string> labels_;
     std::vector<double> wall_ms_;
     uint64_t tasks_run_ = 0;
@@ -337,27 +295,6 @@ class RunMeta
     std::vector<std::string> section_keys_;
     std::vector<std::string> section_values_;
 };
-
-/**
- * Worker-placement policy from `--pinning=none|compact|scatter`,
- * falling back to the NANOBUS_PINNING environment variable (and
- * ultimately to none) when the flag is absent. An unrecognized flag
- * value is a usage error: print it and exit(2) rather than silently
- * benchmarking an unintended placement.
- */
-inline exec::PinPolicy
-pinPolicyFromFlags(const Flags &flags)
-{
-    std::string value = flags.get("pinning", "");
-    if (value.empty())
-        return exec::pinPolicyFromEnv();
-    if (auto policy = exec::parsePinPolicy(value))
-        return *policy;
-    std::fprintf(stderr,
-                 "--pinning=%s: expected none, compact, or scatter\n",
-                 value.c_str());
-    std::exit(2);
-}
 
 /**
  * Thermal integrator from `--solver=rk4|be|backward-euler|cn|

@@ -56,8 +56,7 @@ main(int argc, char **argv)
     std::string json_path = flags.get("json", "");
     const bool want_json = flags.has("json") || !json_path.empty();
 
-    const bench::ExecFlags exec_flags = bench::ExecFlags::parse(flags);
-    exec::ThreadPool pool(exec_flags.threads, exec_flags.pinning);
+    exec::ThreadPool pool(bench::threadsFromFlags(flags));
 
     bench::banner("Figure 3 (HPCA-11 2005)",
                   "Total energy in 32-bit address buses: schemes x "
@@ -171,8 +170,6 @@ main(int argc, char **argv)
     }
 
     meta.setCounters(pool.counters() - counters_before);
-    meta.setPlacement(exec::pinPolicyName(pool.pinning()),
-                      pool.workersPerNode());
     meta.printSummary(run_timer.ms());
     if (want_json) {
         std::string written = meta.writeJson(run_timer.ms(),

@@ -52,8 +52,7 @@ main(int argc, char **argv)
     std::string json_path = flags.get("json", "");
     const bool want_json = flags.has("json") || !json_path.empty();
 
-    const bench::ExecFlags exec_flags = bench::ExecFlags::parse(flags);
-    exec::ThreadPool pool(exec_flags.threads, exec_flags.pinning);
+    exec::ThreadPool pool(bench::threadsFromFlags(flags));
 
     bench::banner("Figure 4 (HPCA-11 2005)",
                   "Energy and temperature profiles, 130 nm address "
@@ -126,14 +125,7 @@ main(int argc, char **argv)
         };
         jobs.push_back(std::move(job));
     }
-    Result<exec::SupervisedReport> supervised =
-        supervisor.run(jobs);
-    if (!supervised.ok()) {
-        std::fprintf(stderr, "fig4: supervised run failed: %s\n",
-                     supervised.error().describe().c_str());
-        return 1;
-    }
-    const exec::SupervisedReport &sup = supervised.value();
+    const exec::SupervisedReport sup = supervisor.run(jobs);
     bench::SupervisorSummary summary;
     summary.enabled = true;
     summary.ok = sup.ok_count;
@@ -254,8 +246,6 @@ main(int argc, char **argv)
     }
 
     meta.setCounters(pool.counters() - counters_before);
-    meta.setPlacement(exec::pinPolicyName(pool.pinning()),
-                      pool.workersPerNode());
     meta.printSummary(run_timer.ms());
     if (want_json) {
         std::string written = meta.writeJson(run_timer.ms(),

@@ -172,18 +172,16 @@ BM_SweepBatch(benchmark::State &state)
     };
 
     exec::ThreadPool serial_pool(1);
-    Result<exec::SupervisedReport> serial = runBatch(serial_pool);
+    const exec::SupervisedReport serial = runBatch(serial_pool);
     exec::ThreadPool pool(threads);
-    Result<exec::SupervisedReport> check = runBatch(pool);
-    if (!serial.ok() || !check.ok() ||
-        !serial.value().allSucceeded() ||
-        !check.value().allSucceeded()) {
+    const exec::SupervisedReport check = runBatch(pool);
+    if (!serial.allSucceeded() || !check.allSucceeded()) {
         state.SkipWithError("sweep batch failed");
         return;
     }
     for (size_t i = 0; i < benchmarks.size(); ++i) {
-        if (check.value().reports[i].data_energy.total().raw() !=
-            serial.value().reports[i].data_energy.total().raw()) {
+        if (check.reports[i].data_energy.total().raw() !=
+            serial.reports[i].data_energy.total().raw()) {
             state.SkipWithError(
                 "sweep batch diverged from the serial result");
             return;
@@ -191,7 +189,7 @@ BM_SweepBatch(benchmark::State &state)
     }
 
     for (auto _ : state) {
-        Result<exec::SupervisedReport> batch = runBatch(pool);
+        exec::SupervisedReport batch = runBatch(pool);
         benchmark::DoNotOptimize(batch);
     }
     state.SetItemsProcessed(

@@ -12,18 +12,16 @@
  *     to a standalone BusSimulator fed the identical word stream,
  *     for the four Fig 3 schemes;
  *  2. determinism: a 6x6 mesh must produce bit-identical
- *     fingerprints at pool sizes 1, 2, and hw and across all pin
- *     policies.
+ *     fingerprints at pool sizes 1, 2, and hw.
  *
  * The timed cells then sweep the mesh sizes, and the target cell
  * (--segments, default 256, >= 1M transactions) additionally runs
  * under exec supervision; its per-segment energy/thermal rollup and
- * the pool placement stats land in BENCH_fabric.json.
+ * the pool stats land in BENCH_fabric.json.
  *
  * Flags: --topology=mesh|ring|crossbar --segments=N
  *        --pattern=uniform|hotspot|neighbor --transactions=N
- *        --rate=F --interval=CYCLES --threads=N
- *        --pinning=none|compact|scatter --json=PATH
+ *        --rate=F --interval=CYCLES --threads=N --json=PATH
  *        --retries=N --deadline=MS
  *        --solver=rk4|be|cn (thermal integrator for the timed
  *        cells; the correctness pins always pin the RK4 oracle)
@@ -167,7 +165,7 @@ pinSingleSegmentOracle(const TechnologyNode &tech)
 
 /**
  * Determinism pin: a 6x6 mesh run must be bit-identical across pool
- * sizes 1/2/hw and across pin policies.
+ * sizes 1/2/hw.
  */
 bool
 pinMeshDeterminism(const TechnologyNode &tech)
@@ -185,38 +183,27 @@ pinMeshDeterminism(const TechnologyNode &tech)
     traffic.seed = 99;
     traffic.max_transactions = 4000;
 
-    auto runOnce = [&](unsigned pool_size,
-                       exec::PinPolicy pinning) {
+    auto runOnce = [&](unsigned pool_size) {
         BusFabric fabric(tech, config);
         SyntheticTraffic source(fabric.topology(), traffic);
-        exec::ThreadPool pool(pool_size, pinning);
+        exec::ThreadPool pool(pool_size);
         fabric.run(source, pool);
         return fabricFingerprint(fabric);
     };
 
-    const std::vector<double> reference =
-        runOnce(1, exec::PinPolicy::None);
+    const std::vector<double> reference = runOnce(1);
     const unsigned hw = exec::ThreadPool::defaultThreads();
-    unsigned pins = 0;
     for (unsigned pool_size : {2u, hw}) {
-        for (exec::PinPolicy pinning :
-             {exec::PinPolicy::None, exec::PinPolicy::Compact,
-              exec::PinPolicy::Scatter}) {
-            if (!identicalBits(reference,
-                               runOnce(pool_size, pinning))) {
-                std::fprintf(stderr,
-                             "FAIL: 6x6 mesh diverges at pool=%u "
-                             "pinning=%s\n",
-                             pool_size,
-                             exec::pinPolicyName(pinning));
-                return false;
-            }
-            ++pins;
+        if (!identicalBits(reference, runOnce(pool_size))) {
+            std::fprintf(stderr,
+                         "FAIL: 6x6 mesh diverges at pool=%u\n",
+                         pool_size);
+            return false;
         }
     }
     std::printf("determinism pin: 6x6 mesh bit-identical across "
-                "%u pool/pinning combinations\n\n",
-                pins);
+                "pool sizes 1, 2 and %u\n\n",
+                hw);
     return true;
 }
 
@@ -269,7 +256,6 @@ main(int argc, char **argv)
 {
     bench::Flags flags(argc, argv);
     const bool smoke = flags.has("smoke");
-    const bench::ExecFlags exec_flags = bench::ExecFlags::parse(flags);
 
     const std::string topo_name = flags.get("topology", "mesh");
     const auto topology = parseTopologyKind(topo_name);
@@ -313,7 +299,7 @@ main(int argc, char **argv)
     if (!pinSingleSegmentOracle(tech) || !pinMeshDeterminism(tech))
         return 1;
 
-    exec::ThreadPool pool(exec_flags.threads, exec_flags.pinning);
+    exec::ThreadPool pool(bench::threadsFromFlags(flags));
     bench::RunMeta meta("fabric", pool.size());
     meta.setWorkload(topologyKindName(*topology), target_segments,
                      trafficPatternName(*pattern));
@@ -403,15 +389,7 @@ main(int argc, char **argv)
         jobs.push_back(supervisedFabricRunJob(
             "fabric-target", tech, config,
             cellTraffic(config, *pattern, rate, sup_txs)));
-        Result<exec::SupervisedFabricReport> supervised =
-            supervisor.run(jobs);
-        if (!supervised.ok()) {
-            std::fprintf(stderr, "FAIL: supervised fabric run: %s\n",
-                         supervised.error().describe().c_str());
-            return 1;
-        }
-        const exec::SupervisedFabricReport &sup =
-            supervised.value();
+        const exec::SupervisedFabricReport sup = supervisor.run(jobs);
         std::printf("\nsupervised cell: %s attempts=%u "
                     "transactions=%llu\n",
                     exec::jobOutcomeName(sup.records[0].outcome),
@@ -484,8 +462,6 @@ main(int argc, char **argv)
                 fabric.maxTemperature().raw());
 
     meta.setCounters(pool.counters());
-    meta.setPlacement(exec::pinPolicyName(pool.pinning()),
-                      pool.workersPerNode());
     const std::string written =
         meta.writeJson(total_timer.ms(), json_path);
     if (!written.empty())

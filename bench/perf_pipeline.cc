@@ -35,8 +35,7 @@
  * the four schemes under exec::Supervisor, whose outcome tallies
  * land in the JSON "supervisor" block.
  *
- * Flags: --cycles=N --threads=N --pinning=none|compact|scatter
- *        --json=PATH --trace=PATH
+ * Flags: --cycles=N --threads=N --json=PATH --trace=PATH
  *        --checkpoint=PATH --checkpoint-every=BATCHES
  *        --deadline=MS --retries=N --gate-reps=N
  *        --keep-trace --smoke (small trace, single batch size)
@@ -250,9 +249,7 @@ main(int argc, char **argv)
     const bool smoke = flags.has("smoke");
     const uint64_t cycles =
         flags.getU64("cycles", smoke ? 20000 : 200000);
-    const bench::ExecFlags exec_flags = bench::ExecFlags::parse(flags);
-    const unsigned threads = exec_flags.threads;
-    const exec::PinPolicy pinning = exec_flags.pinning;
+    const unsigned threads = bench::threadsFromFlags(flags);
     const std::string trace_path =
         flags.get("trace", "perf_pipeline_trace.tmp");
     const std::string json_path = flags.get("json", "");
@@ -305,9 +302,7 @@ main(int argc, char **argv)
                 oracle.ia.values[0] + oracle.ia.values[1] +
                 oracle.da.values[0] + oracle.da.values[1];
             for (unsigned pool_size : pin_pools) {
-                // The pins run under the requested placement too:
-                // pinning must never change a bit of the results.
-                exec::ThreadPool pool(pool_size, pinning);
+                exec::ThreadPool pool(pool_size);
                 for (bool prefetch : {false, true}) {
                     SimPipeline::Config pipe_config;
                     pipe_config.batch_size = 1024;
@@ -348,7 +343,7 @@ main(int argc, char **argv)
     }
     std::printf("all %u equivalence pins passed\n\n", pins);
 
-    exec::ThreadPool pool(threads, pinning);
+    exec::ThreadPool pool(threads);
     const EncodingScheme timing_scheme = EncodingScheme::BusInvert;
 
     // ------------------------------------------------------------
@@ -538,16 +533,7 @@ main(int argc, char **argv)
         jobs.push_back(supervisedTraceSweepJob(
             schemeName(scheme), trace_path, tech,
             makeConfig(scheme)));
-    Result<exec::SupervisedReport> supervised =
-        supervisor.run(jobs);
-    if (!supervised.ok()) {
-        std::fprintf(stderr, "FAIL: supervised sweep: %s\n",
-                     supervised.error().describe().c_str());
-        std::remove(trace_path.c_str());
-        std::remove(ckpt_path.c_str());
-        return 1;
-    }
-    const exec::SupervisedReport &sup = supervised.value();
+    const exec::SupervisedReport sup = supervisor.run(jobs);
     std::printf("\nsupervised sweep (retries=%u, deadline=%s):\n",
                 retries,
                 deadline_ms > 0.0 ? "armed" : "off");
@@ -578,8 +564,6 @@ main(int argc, char **argv)
     }
 
     meta.setCounters(pool.counters());
-    meta.setPlacement(exec::pinPolicyName(pool.pinning()),
-                      pool.workersPerNode());
     const std::string written = meta.writeJson(total_timer.ms(),
                                                json_path);
     if (!written.empty())

@@ -76,8 +76,7 @@ main(int argc, char **argv)
     std::string json_path = flags.get("json", "");
     const bool want_json = flags.has("json") || !json_path.empty();
 
-    const bench::ExecFlags exec_flags = bench::ExecFlags::parse(flags);
-    exec::ThreadPool pool(exec_flags.threads, exec_flags.pinning);
+    exec::ThreadPool pool(bench::threadsFromFlags(flags));
 
     bench::banner("Stress patterns (Sec 3.3 extension)",
                   "Worst-case vs random vs real traffic on a 32-bit "
@@ -134,8 +133,6 @@ main(int argc, char **argv)
     }
 
     meta.setCounters(pool.counters() - counters_before);
-    meta.setPlacement(exec::pinPolicyName(pool.pinning()),
-                      pool.workersPerNode());
     std::printf("\n");
     meta.printSummary(run_timer.ms());
     if (want_json) {

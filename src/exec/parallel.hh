@@ -131,9 +131,9 @@ parallelFor(ThreadPool &pool, size_t n, Body &&body, size_t grain = 0)
         size_t begin = c * g;
         size_t end = begin + g < n ? begin + g : n;
         // Hint with the chunk index: chunk c prefers worker
-        // (c % workers) every batch, so with pinning a chunk keeps
-        // revisiting the node that first-touched its data. Placement
-        // only — results are identical whichever thread runs it.
+        // (c % workers) every batch, so a chunk keeps revisiting the
+        // worker that first-touched its data. Placement only —
+        // results are identical whichever thread runs it.
         pool.submitHinted(
             [state, begin, end, &body] {
                 try {

@@ -17,7 +17,6 @@
 #define NANOBUS_EXEC_STATS_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace nanobus {
 namespace exec {
@@ -50,15 +49,6 @@ struct ExecStats
     uint64_t steals = 0;
     /** Wall-clock of the batch or shard [ms]. */
     double wall_ms = 0.0;
-    /** Worker-placement policy the pool ran under ("none" /
-     *  "compact" / "scatter"); a static string from
-     *  exec::pinPolicyName, stored raw so this header stays
-     *  dependency-free. */
-    const char *pinning = "none";
-    /** Pinned workers per topology node (index = node index in
-     *  Topology::nodes()). Empty when the policy is None, pinning is
-     *  unsupported, or every pin attempt failed. */
-    std::vector<unsigned> workers_per_node;
 };
 
 } // namespace exec

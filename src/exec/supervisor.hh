@@ -39,7 +39,7 @@
  * depends only on the execution layer (docs/STATIC_ANALYSIS.md,
  * layering DAG): `Report` must be default-constructible, movable,
  * and expose an ExecStats `exec` member the supervisor stamps with
- * pool placement and wall-clock. The simulation instantiation and
+ * the pool size and wall-clock. The simulation instantiation and
  * its job builders live in src/sim/sweep.hh.
  *
  * Determinism: reports are collected by job index, and a job's
@@ -305,10 +305,9 @@ class BasicSupervisor
     /**
      * Run every job under supervision; blocks until each has a final
      * outcome (the calling thread is the monitor and also drains
-     * pool tasks). The Result is always a full batch report: job
-     * failures land in its records, never in the batch Error.
+     * pool tasks). Job failures land in the batch's records.
      */
-    Result<Batch> run(const std::vector<Job> &jobs) const
+    Batch run(const std::vector<Job> &jobs) const
     {
         using Clock = detail::SupervisorClock;
         const auto t_start = Clock::now();
@@ -407,7 +406,6 @@ class BasicSupervisor
             }
             if (slot.report) {
                 slot.report->exec.threads = pool_.size();
-                pool_.fillPlacement(slot.report->exec);
                 slot.report->exec.wall_ms = slot.context->elapsedMs();
                 sup.reports[i] = std::move(*slot.report);
                 finalize(i,
@@ -494,7 +492,6 @@ class BasicSupervisor
 
         const ExecCounters delta = pool_.counters() - before;
         sup.exec.threads = pool_.size();
-        pool_.fillPlacement(sup.exec);
         sup.exec.tasks_run = delta.tasks_run;
         sup.exec.steals = delta.steals;
         sup.exec.wall_ms = detail::millisSince(t_start);

@@ -29,12 +29,6 @@ constexpr size_t kNoHomeDeque = static_cast<size_t>(-1);
 } // anonymous namespace
 
 ThreadPool::ThreadPool(unsigned threads)
-    : ThreadPool(threads, pinPolicyFromEnv())
-{
-}
-
-ThreadPool::ThreadPool(unsigned threads, PinPolicy pinning)
-    : pinning_(pinning)
 {
     if (threads < 1)
         threads = 1;
@@ -51,33 +45,6 @@ ThreadPool::ThreadPool(unsigned threads, PinPolicy pinning)
         workers_.emplace_back([this, i](std::stop_token stop) {
             workerLoop(stop, i);
         });
-    }
-
-    // Pin the spawned workers per policy. Single-node hosts and
-    // platforms without affinity support degrade to a no-op: the
-    // policy is recorded but no affinity call is made. Pinning from
-    // the constructor (not from inside the workers) keeps the
-    // per-node counters valid the moment the constructor returns.
-    const Topology &topo = Topology::system();
-    if (pinning_ != PinPolicy::None && topo.multiNode() &&
-        affinityPinningSupported()) {
-        std::vector<unsigned> per_node(topo.nodeCount(), 0);
-        bool any = false;
-        for (unsigned i = 0; i < workers; ++i) {
-            // Slot 0 is the participating caller (never pinned).
-            std::optional<unsigned> cpu =
-                topo.cpuForSlot(pinning_, i + 1, size_);
-            if (!cpu)
-                continue;
-            if (!pinThreadToCpu(workers_[i].native_handle(), *cpu))
-                continue; // kernel refused (cpuset, sandbox): skip
-            if (std::optional<unsigned> node = topo.nodeOfCpu(*cpu)) {
-                ++per_node[*node];
-                any = true;
-            }
-        }
-        if (any)
-            workers_per_node_ = std::move(per_node);
     }
 }
 

@@ -9,7 +9,7 @@
  *
  *  1. *Determinism of results.* The pool itself schedules tasks in a
  *     nondeterministic order, so every parallel construct built on it
- *     (exec/parallel.hh, exec/sweep_runner.hh) writes to disjoint,
+ *     (exec/parallel.hh, exec/supervisor.hh) writes to disjoint,
  *     pre-allocated slots and combines them in a fixed order. The
  *     pool never reorders side effects inside one task.
  *  2. *Race-freedom that is easy to audit.* All task deques share one
@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "exec/stats.hh"
-#include "exec/topology.hh"
 
 namespace nanobus {
 namespace exec {
@@ -60,23 +59,9 @@ class ThreadPool
      * @param threads Total concurrency including the calling thread:
      *        N-1 workers are spawned. threads == 1 spawns none and
      *        makes submit() run tasks inline (strict serial mode).
-     *        Clamped to [1, kMaxThreads]. The pinning policy comes
-     *        from NANOBUS_PINNING (pinPolicyFromEnv).
+     *        Clamped to [1, kMaxThreads].
      */
     explicit ThreadPool(unsigned threads);
-
-    /**
-     * Same, with an explicit worker-placement policy (bench drivers'
-     * --pinning flag; tests). Workers are pinned per
-     * Topology::cpuForSlot; the participating caller (slot 0) is
-     * never pinned. On single-node hosts, on platforms without
-     * affinity support, and under PinPolicy::None the policy
-     * degrades to a no-op: no affinity call is made and
-     * workersPerNode() stays empty. Pinning changes where workers
-     * run, never what they compute — the determinism contract is
-     * untouched.
-     */
-    ThreadPool(unsigned threads, PinPolicy pinning);
 
     /** Drains every queued task, then joins the workers. */
     ~ThreadPool();
@@ -111,28 +96,6 @@ class ThreadPool
     /** Total concurrency (workers + the participating caller). */
     unsigned size() const { return size_; }
 
-    /** Placement policy this pool was asked to apply. */
-    PinPolicy pinning() const { return pinning_; }
-
-    /**
-     * Pinned workers per topology node (index = node index in
-     * Topology::nodes()). Empty when the policy is None, the host is
-     * single-node, affinity is unsupported, or every pin attempt
-     * failed — the per-node counters the bench drivers serialize
-     * into BENCH_*.json.
-     */
-    const std::vector<unsigned> &workersPerNode() const
-    {
-        return workers_per_node_;
-    }
-
-    /** Copy this pool's placement outcome into `stats`. */
-    void fillPlacement(ExecStats &stats) const
-    {
-        stats.pinning = pinPolicyName(pinning_);
-        stats.workers_per_node = workers_per_node_;
-    }
-
     /**
      * Enqueue one task. With size() == 1 the task runs inline before
      * submit() returns; otherwise it is pushed to a worker deque
@@ -145,8 +108,8 @@ class ThreadPool
      * Enqueue one task with a placement hint: the task is pushed to
      * deque (hint % workers) instead of round-robin, so a caller
      * that hints with a stable chunk index lands the same chunk on
-     * the same worker — and, with pinning, the same NUMA node —
-     * batch after batch. Purely a *placement* hint: work stealing
+     * the same worker batch after batch, near the memory that
+     * worker first touched. Purely a *placement* hint: work stealing
      * may still move the task, and results are bit-identical either
      * way (docs/PARALLELISM.md). Inline (like submit) at size 1.
      */
@@ -183,9 +146,6 @@ class ThreadPool
     void runInline(Task &task);
 
     unsigned size_;
-    PinPolicy pinning_ = PinPolicy::None;
-    /** Pin outcome per node index; empty when nothing was pinned. */
-    std::vector<unsigned> workers_per_node_;
     // One deque per worker; all guarded by mutex_. pending_ counts
     // queued (not yet popped) tasks so sleepers have a cheap
     // predicate.

@@ -36,8 +36,6 @@ BusFabric::BusFabric(const TechnologyNode &tech,
         config_.segment_resistance.raw() <= 0.0)
         fatal("BusFabric: segment resistance must be positive "
               "(got %g K*m/W)", config_.segment_resistance.raw());
-    if (config_.group_size == 0)
-        config_.group_size = 1;
 
     const unsigned n = topology_.numSegments();
     segments_.reserve(n);
@@ -167,10 +165,10 @@ BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
     // the previous run() left unclosed.
     uint64_t boundary = (resume_cycle_ / interval + 1) * interval;
 
-    // One parallelFor chunk per segment group: the partition is a
-    // pure function of (segment count, group_size), never of the
-    // pool, and every group touches only its own segments plus the
-    // shared read-only temperature snapshot.
+    // One parallelFor chunk per segment: the partition is a pure
+    // function of the segment count, never of the pool, and every
+    // chunk touches only its own segment plus the shared read-only
+    // temperature snapshot.
     auto runEpoch = [&] {
         for (unsigned s = 0; s < n; ++s)
             temps_[s] = segments_[s]
@@ -182,7 +180,7 @@ BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
             [this](size_t begin, size_t end) {
                 stepSegments(begin, end);
             },
-            config_.group_size);
+            1);
     };
 
     while (boundary <= stats.last_cycle) {

@@ -65,9 +65,6 @@ struct FabricConfig
      * heat by construction.
      */
     KelvinMetersPerWatt segment_resistance{50.0};
-    /** Segments per parallelFor chunk. Grouping never changes
-     *  results — only scheduling granularity. */
-    size_t group_size = 1;
 };
 
 /** Per-segment end-of-run rollup (the BENCH_fabric.json rows). */

@@ -142,8 +142,7 @@ struct SweepReport
     /** Accumulated data-address bus energy. */
     EnergyBreakdown data_energy;
     /**
-     * Execution counters for this sweep: wall-clock, pool size, and
-     * (when run through a Supervisor batch) the pool placement.
+     * Execution counters for this sweep: wall-clock and pool size.
      * Zero-initialized threads == 1 means the sweep never touched
      * the parallel runtime.
      */

@@ -18,7 +18,10 @@ namespace {
  *  (docs/ROBUSTNESS.md): a throwing source is captured at the call
  *  site, and the injected TransientIo fault — which counts one call
  *  per fill so tests can target the Nth batch deterministically —
- *  reports the same way a flaky filesystem read would. */
+ *  reports the same way a flaky filesystem read would. A fatal()
+ *  raised by the source under setAbortOnError(false) (e.g. an
+ *  exhausted TraceReader error budget) is a ParseError: the input
+ *  itself is bad, so a retry cannot succeed. */
 Result<bool>
 readUpTo(TraceSource &source, size_t limit,
          std::vector<TraceRecord> &out)
@@ -36,6 +39,8 @@ readUpTo(TraceSource &source, size_t limit,
         bool more = false;
         try {
             more = source.next(record);
+        } catch (const FatalError &e) {
+            return Error{ErrorCode::ParseError, e.message};
         } catch (const std::exception &e) {
             return Error{ErrorCode::IoError,
                          std::string("trace source failed: ") +

@@ -81,7 +81,7 @@ EXPECT = {
     "src/sim/affinity_sched_bad.cc": {"raw-affinity"},
     "src/sim/affinity_nolint_ok.cc": set(),
     "src/sim/affinity_comment_ok.cc": set(),
-    "src/exec/affinity_exempt_ok.cc": set(),
+    "src/exec/affinity_bad.cc": {"raw-affinity"},
     "src/sim/trace_next_bad.cc": {"raw-trace-next"},
     "bench/trace_next_bad.cc": {"raw-trace-next"},
     "src/trace/trace_next_ok.cc": set(),
@@ -110,7 +110,6 @@ TREE_EXPECT = {k: v for k, v in EXPECT.items() if "/" in k}
 # lint fixtures whose finding an [[allow]] entry must suppress
 SANCTIONED = {
     "src/exec/jthread_exempt_ok.cc": "raw-thread",
-    "src/exec/affinity_exempt_ok.cc": "raw-affinity",
     "src/util/atomicfile.cc": "raw-result-write",
 }
 

@@ -3,8 +3,9 @@
  * Supervisor tests: ordered degraded-mode reports (also when shards
  * finish in inverted order), bit-identical results across pool
  * sizes, deterministic retry/backoff on injected transient I/O
- * faults, quarantine of permanent failures and exhausted retry
- * budgets, the thermal-fault probe on an injected RK4 failure, and
+ * faults, quarantine of permanent failures (including a trace whose
+ * error budget runs out) and exhausted retry budgets, the
+ * thermal-fault probe on an injected RK4 failure, and
  * the Stall-driven heartbeat watchdog (including the pool-size-1
  * self-deadline escape).
  */
@@ -13,6 +14,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "exec/thread_pool.hh"
 #include "trace/io.hh"
 #include "util/faultinject.hh"
+#include "util/logging.hh"
 #include "temp_path.hh"
 
 namespace nanobus {
@@ -95,10 +98,7 @@ TEST_F(SupervisorTest, CleanBatchAllOkInJobOrder)
 {
     exec::ThreadPool pool(4);
     exec::Supervisor supervisor(pool);
-    Result<exec::SupervisedReport> run =
-        supervisor.run(makeJobs(3));
-    ASSERT_TRUE(run.ok());
-    const exec::SupervisedReport &sup = run.value();
+    const exec::SupervisedReport sup = supervisor.run(makeJobs(3));
     EXPECT_TRUE(sup.allSucceeded());
     EXPECT_EQ(sup.ok_count, 3u);
     EXPECT_EQ(sup.retried_count, 0u);
@@ -138,9 +138,7 @@ TEST_F(SupervisorTest, CollectsReportsInJobOrder)
                         }});
     }
 
-    Result<exec::SupervisedReport> run = supervisor.run(jobs);
-    ASSERT_TRUE(run.ok());
-    const exec::SupervisedReport &sup = run.value();
+    const exec::SupervisedReport sup = supervisor.run(jobs);
     ASSERT_EQ(sup.reports.size(), jobs.size());
     EXPECT_EQ(sup.ok_count, jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
@@ -161,12 +159,10 @@ TEST_F(SupervisorTest, ReportsBitIdenticalAcrossPoolSizes)
          {1u, 2u, exec::ThreadPool::defaultThreads()}) {
         exec::ThreadPool pool(pool_size);
         exec::Supervisor supervisor(pool);
-        Result<exec::SupervisedReport> run =
-            supervisor.run(makeJobs(4));
-        ASSERT_TRUE(run.ok()) << "pool=" << pool_size;
-        ASSERT_TRUE(run.value().allSucceeded())
+        exec::SupervisedReport run = supervisor.run(makeJobs(4));
+        ASSERT_TRUE(run.allSucceeded())
             << "pool=" << pool_size;
-        runs.push_back(run.takeValue());
+        runs.push_back(std::move(run));
     }
     for (size_t r = 1; r < runs.size(); ++r)
         for (size_t i = 0; i < runs[0].reports.size(); ++i)
@@ -181,19 +177,13 @@ TEST_F(SupervisorTest, TransientIoRetriesToSuccess)
     // retried result matches the clean run bit-for-bit.
     exec::ThreadPool pool(2);
     exec::Supervisor supervisor(pool);
-    Result<exec::SupervisedReport> clean =
-        supervisor.run(makeJobs(1));
-    ASSERT_TRUE(clean.ok());
-    ASSERT_EQ(clean.value().records[0].outcome,
+    const exec::SupervisedReport clean = supervisor.run(makeJobs(1));
+    ASSERT_EQ(clean.records[0].outcome,
               exec::JobOutcome::Ok);
 
     FaultInjector::instance().armCallFault(FaultSite::TransientIo, 1);
-    Result<exec::SupervisedReport> faulted =
-        supervisor.run(makeJobs(1));
+    const exec::SupervisedReport sup = supervisor.run(makeJobs(1));
     FaultInjector::instance().reset();
-
-    ASSERT_TRUE(faulted.ok());
-    const exec::SupervisedReport &sup = faulted.value();
     EXPECT_TRUE(sup.allSucceeded());
     EXPECT_EQ(sup.retried_count, 1u);
     ASSERT_EQ(sup.records[0].outcome, exec::JobOutcome::Retried);
@@ -203,7 +193,7 @@ TEST_F(SupervisorTest, TransientIoRetriesToSuccess)
     // (job 0, retry 0) — no wall-clock in the decision path.
     EXPECT_EQ(sup.records[0].backoff_ms[0],
               exec::retryDelayMs(exec::Supervisor::Options{}, 0, 0));
-    expectSameEnergies(clean.value().reports[0], sup.reports[0]);
+    expectSameEnergies(clean.reports[0], sup.reports[0]);
 }
 
 TEST_F(SupervisorTest, ExhaustedRetryBudgetQuarantines)
@@ -217,12 +207,8 @@ TEST_F(SupervisorTest, ExhaustedRetryBudgetQuarantines)
 
     FaultInjector::instance().armCallFault(FaultSite::TransientIo, 1,
                                            1);
-    Result<exec::SupervisedReport> run =
-        supervisor.run(makeJobs(1));
+    const exec::SupervisedReport sup = supervisor.run(makeJobs(1));
     FaultInjector::instance().reset();
-
-    ASSERT_TRUE(run.ok());
-    const exec::SupervisedReport &sup = run.value();
     EXPECT_FALSE(sup.allSucceeded());
     EXPECT_EQ(sup.quarantined_count, 1u);
     ASSERT_EQ(sup.records[0].outcome,
@@ -247,9 +233,7 @@ TEST_F(SupervisorTest, PermanentErrorQuarantinesWithoutRetry)
          }});
     jobs.push_back(makeJobs(1)[0]);
 
-    Result<exec::SupervisedReport> run = supervisor.run(jobs);
-    ASSERT_TRUE(run.ok());
-    const exec::SupervisedReport &sup = run.value();
+    const exec::SupervisedReport sup = supervisor.run(jobs);
     EXPECT_EQ(sup.quarantined_count, 1u);
     EXPECT_EQ(sup.ok_count, 1u);
     EXPECT_EQ(sup.records[0].outcome, exec::JobOutcome::Quarantined);
@@ -257,6 +241,40 @@ TEST_F(SupervisorTest, PermanentErrorQuarantinesWithoutRetry)
     EXPECT_EQ(sup.records[0].attempts, 1u);
     EXPECT_EQ(sup.records[0].error.code, ErrorCode::ParseError);
     EXPECT_EQ(sup.records[1].outcome, exec::JobOutcome::Ok);
+}
+
+TEST_F(SupervisorTest, ExhaustedTraceBudgetQuarantinesWithoutRetry)
+{
+    // A trace that is mostly garbage exhausts the reader's error
+    // budget. That is a property of the input, not I/O flakiness:
+    // the job ends Quarantined with ParseError after one attempt
+    // instead of burning its retries on an identical re-read.
+    const std::string garbage_path =
+        test::uniqueTempPath("supervisor_garbage.txt");
+    {
+        std::ofstream out(garbage_path);
+        for (int i = 0; i < 50; ++i)
+            out << "complete garbage line " << i << "\n";
+    }
+    RobustSweepOptions sweep_options;
+    sweep_options.trace_error_budget = 5;
+
+    exec::ThreadPool pool(2);
+    exec::Supervisor::Options options;
+    options.max_retries = 2;
+    exec::Supervisor supervisor(pool, options);
+    setAbortOnError(false);
+    const exec::SupervisedReport sup = supervisor.run(
+        {supervisedTraceSweepJob("garbage", garbage_path, tech130,
+                                 sweepConfig(), sweep_options)});
+    setAbortOnError(true);
+    std::remove(garbage_path.c_str());
+
+    EXPECT_EQ(sup.quarantined_count, 1u);
+    ASSERT_EQ(sup.records[0].outcome, exec::JobOutcome::Quarantined);
+    EXPECT_EQ(sup.records[0].attempts, 1u);
+    EXPECT_TRUE(sup.records[0].backoff_ms.empty());
+    EXPECT_EQ(sup.records[0].error.code, ErrorCode::ParseError);
 }
 
 TEST_F(SupervisorTest, ThermalFaultProbeQuarantinesInjectedRk4Fault)
@@ -276,12 +294,9 @@ TEST_F(SupervisorTest, ThermalFaultProbeQuarantinesInjectedRk4Fault)
     exec::Supervisor supervisor(pool, options);
 
     FaultInjector::instance().armCallFault(FaultSite::Rk4Step, 1, 1);
-    Result<exec::SupervisedReport> run = supervisor.run(
+    const exec::SupervisedReport sup = supervisor.run(
         {supervisedTraceSweepJob("shard0", path_, tech130, config)});
     FaultInjector::instance().reset();
-
-    ASSERT_TRUE(run.ok());
-    const exec::SupervisedReport &sup = run.value();
     EXPECT_EQ(sup.quarantined_count, 1u);
     ASSERT_EQ(sup.records[0].outcome, exec::JobOutcome::Quarantined);
     EXPECT_EQ(sup.records[0].attempts, 1u);
@@ -289,11 +304,9 @@ TEST_F(SupervisorTest, ThermalFaultProbeQuarantinesInjectedRk4Fault)
 
     // The pool survived the failed job: a clean follow-up batch
     // completes (this would hang on a leaked task or a dead worker).
-    Result<exec::SupervisedReport> clean =
-        supervisor.run(makeJobs(1));
-    ASSERT_TRUE(clean.ok());
-    EXPECT_TRUE(clean.value().allSucceeded());
-    EXPECT_TRUE(clean.value().reports[0].completed);
+    const exec::SupervisedReport clean = supervisor.run(makeJobs(1));
+    EXPECT_TRUE(clean.allSucceeded());
+    EXPECT_TRUE(clean.reports[0].completed);
 }
 
 TEST_F(SupervisorTest, ContainedFaultsDoNotFailJobWithoutProbe)
@@ -307,13 +320,11 @@ TEST_F(SupervisorTest, ContainedFaultsDoNotFailJobWithoutProbe)
     exec::ThreadPool pool(2);
     exec::Supervisor supervisor(pool);
     FaultInjector::instance().armCallFault(FaultSite::Rk4Step, 1, 1);
-    Result<exec::SupervisedReport> run = supervisor.run(
+    const exec::SupervisedReport run = supervisor.run(
         {supervisedTraceSweepJob("tolerant", path_, tech130, config)});
     FaultInjector::instance().reset();
-
-    ASSERT_TRUE(run.ok());
-    EXPECT_EQ(run.value().records[0].outcome, exec::JobOutcome::Ok);
-    const SweepReport &report = run.value().reports[0];
+    EXPECT_EQ(run.records[0].outcome, exec::JobOutcome::Ok);
+    const SweepReport &report = run.reports[0];
     EXPECT_TRUE(report.completed);
     EXPECT_GT(report.instruction_faults.size() +
                   report.data_faults.size(),
@@ -327,21 +338,16 @@ TEST_F(SupervisorTest, StallTimesOutWhileOtherShardsComplete)
     // other shards complete with results identical to a clean run.
     exec::ThreadPool pool(2);
     exec::Supervisor clean_supervisor(pool);
-    Result<exec::SupervisedReport> clean =
+    const exec::SupervisedReport clean =
         clean_supervisor.run(makeJobs(3));
-    ASSERT_TRUE(clean.ok());
-    ASSERT_TRUE(clean.value().allSucceeded());
+    ASSERT_TRUE(clean.allSucceeded());
 
     exec::Supervisor::Options options;
     options.deadline_ms = 400.0;
     exec::Supervisor supervisor(pool, options);
     FaultInjector::instance().armCallFault(FaultSite::Stall, 1);
-    Result<exec::SupervisedReport> run =
-        supervisor.run(makeJobs(3));
+    const exec::SupervisedReport sup = supervisor.run(makeJobs(3));
     FaultInjector::instance().reset();
-
-    ASSERT_TRUE(run.ok());
-    const exec::SupervisedReport &sup = run.value();
     EXPECT_EQ(sup.timed_out_count, 1u);
     EXPECT_EQ(sup.ok_count, 2u);
     EXPECT_EQ(sup.quarantined_count, 0u);
@@ -356,7 +362,7 @@ TEST_F(SupervisorTest, StallTimesOutWhileOtherShardsComplete)
                       std::string::npos);
         } else {
             EXPECT_EQ(record.outcome, exec::JobOutcome::Ok);
-            expectSameEnergies(clean.value().reports[i],
+            expectSameEnergies(clean.reports[i],
                                sup.reports[i]);
         }
     }
@@ -372,14 +378,11 @@ TEST_F(SupervisorTest, StallEscapesViaSelfDeadlineAtPoolSizeOne)
     options.deadline_ms = 100.0;
     exec::Supervisor supervisor(pool, options);
     FaultInjector::instance().armCallFault(FaultSite::Stall, 1);
-    Result<exec::SupervisedReport> run =
-        supervisor.run(makeJobs(1));
+    const exec::SupervisedReport run = supervisor.run(makeJobs(1));
     FaultInjector::instance().reset();
-
-    ASSERT_TRUE(run.ok());
-    EXPECT_EQ(run.value().records[0].outcome,
+    EXPECT_EQ(run.records[0].outcome,
               exec::JobOutcome::TimedOut);
-    EXPECT_EQ(run.value().timed_out_count, 1u);
+    EXPECT_EQ(run.timed_out_count, 1u);
 }
 
 TEST_F(SupervisorTest, RetryDelayIsPureAndBounded)
@@ -408,11 +411,10 @@ TEST_F(SupervisorTest, RetryDelayIsPureAndBounded)
 TEST_F(SupervisorTest, EmptyBatchSucceeds)
 {
     exec::ThreadPool pool(2);
-    Result<exec::SupervisedReport> run =
+    const exec::SupervisedReport run =
         exec::Supervisor(pool).run({});
-    ASSERT_TRUE(run.ok());
-    EXPECT_TRUE(run.value().allSucceeded());
-    EXPECT_TRUE(run.value().reports.empty());
+    EXPECT_TRUE(run.allSucceeded());
+    EXPECT_TRUE(run.reports.empty());
 }
 
 } // anonymous namespace

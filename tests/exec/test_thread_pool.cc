@@ -1,13 +1,14 @@
 /**
  * @file
  * ThreadPool unit tests: serial-inline mode, task accounting, caller
- * participation (steal counting), drain-on-destruction, and the
- * NANOBUS_THREADS sizing rule.
+ * participation (steal counting), hinted submission,
+ * drain-on-destruction, and the NANOBUS_THREADS sizing rule.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <future>
 #include <thread>
@@ -127,6 +128,32 @@ TEST(ThreadPool, CallerPopsCountAsSteals)
     // The caller has no home deque, so each of its pops is a steal.
     EXPECT_EQ(delta.tasks_run, static_cast<uint64_t>(kTasks));
     EXPECT_EQ(delta.steals, static_cast<uint64_t>(kTasks));
+}
+
+TEST(ThreadPool, HintedSubmissionPreservesEveryTask)
+{
+    // submitHinted must run every task exactly once whatever the
+    // hint distribution (including hints far beyond the deque
+    // count).
+    for (unsigned size : {1u, 2u, 4u}) {
+        exec::ThreadPool pool(size);
+        std::atomic<uint64_t> sum{0};
+        constexpr uint64_t kTasks = 500;
+        std::atomic<uint64_t> done{0};
+        for (uint64_t i = 0; i < kTasks; ++i) {
+            pool.submitHinted(
+                [&sum, &done, i] {
+                    sum.fetch_add(i + 1);
+                    done.fetch_add(1);
+                },
+                static_cast<size_t>(i * 0x9e3779b97f4a7c15ull));
+        }
+        while (done.load() < kTasks) {
+            if (!pool.tryRunOneTask())
+                std::this_thread::yield();
+        }
+        EXPECT_EQ(sum.load(), kTasks * (kTasks + 1) / 2);
+    }
 }
 
 TEST(ThreadPool, TryRunOneTaskReportsEmpty)

@@ -7,8 +7,7 @@
  *    the TwinBusSimulator per-record oracle, memcmp-level, for all
  *    seven paper schemes.
  *  - Determinism: a 6x6 mesh run is bit-identical across pool sizes
- *    1/2/hardware, across all pin policies, and across segment
- *    group sizes.
+ *    1/2/hardware.
  *  - Physics: lateral coupling moves heat from a driven segment
  *    into its idle neighbour, conserves the pairwise exchange, and
  *    switches off cleanly (coupling-off == standalone, bitwise).
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "exec/thread_pool.hh"
-#include "exec/topology.hh"
 #include "fabric/fabric.hh"
 #include "fabric/traffic.hh"
 #include "fabric_test_util.hh"
@@ -154,14 +152,11 @@ meshTraffic()
 }
 
 std::vector<double>
-runMesh(unsigned pool_size, exec::PinPolicy pinning,
-        size_t group_size, FabricRunStats *stats_out = nullptr)
+runMesh(unsigned pool_size, FabricRunStats *stats_out = nullptr)
 {
-    FabricConfig config = meshConfig();
-    config.group_size = group_size;
-    BusFabric fabric(tech130, config);
+    BusFabric fabric(tech130, meshConfig());
     SyntheticTraffic traffic(fabric.topology(), meshTraffic());
-    exec::ThreadPool pool(pool_size, pinning);
+    exec::ThreadPool pool(pool_size);
     Result<FabricRunStats> stats = fabric.run(traffic, pool);
     EXPECT_TRUE(stats.ok());
     if (stats.ok() && stats_out)
@@ -172,8 +167,7 @@ runMesh(unsigned pool_size, exec::PinPolicy pinning,
 TEST(FabricDeterminism, MeshBitIdenticalAcrossPoolSizes)
 {
     FabricRunStats serial_stats;
-    const std::vector<double> serial =
-        runMesh(1, exec::PinPolicy::None, 1, &serial_stats);
+    const std::vector<double> serial = runMesh(1, &serial_stats);
     EXPECT_EQ(serial_stats.transactions, 3000u);
     EXPECT_GT(serial_stats.hops, serial_stats.transactions);
     EXPECT_GT(serial_stats.epochs, 0u);
@@ -181,39 +175,10 @@ TEST(FabricDeterminism, MeshBitIdenticalAcrossPoolSizes)
     const unsigned hw = exec::ThreadPool::defaultThreads();
     for (unsigned pool_size : {2u, hw}) {
         SCOPED_TRACE("pool=" + std::to_string(pool_size));
-        const std::vector<double> parallel =
-            runMesh(pool_size, exec::PinPolicy::None, 1);
+        const std::vector<double> parallel = runMesh(pool_size);
         EXPECT_TRUE(identical(serial, parallel))
             << "diverges at index "
             << firstDivergence(serial, parallel);
-    }
-}
-
-TEST(FabricDeterminism, MeshBitIdenticalAcrossPinPolicies)
-{
-    const std::vector<double> reference =
-        runMesh(4, exec::PinPolicy::None, 1);
-    for (exec::PinPolicy pinning :
-         {exec::PinPolicy::Compact, exec::PinPolicy::Scatter}) {
-        SCOPED_TRACE(exec::pinPolicyName(pinning));
-        const std::vector<double> pinned = runMesh(4, pinning, 1);
-        EXPECT_TRUE(identical(reference, pinned))
-            << "diverges at index "
-            << firstDivergence(reference, pinned);
-    }
-}
-
-TEST(FabricDeterminism, MeshBitIdenticalAcrossGroupSizes)
-{
-    const std::vector<double> reference =
-        runMesh(4, exec::PinPolicy::None, 1);
-    for (size_t group_size : {size_t{5}, size_t{36}}) {
-        SCOPED_TRACE("group=" + std::to_string(group_size));
-        const std::vector<double> grouped =
-            runMesh(4, exec::PinPolicy::None, group_size);
-        EXPECT_TRUE(identical(reference, grouped))
-            << "diverges at index "
-            << firstDivergence(reference, grouped);
     }
 }
 
@@ -410,10 +375,7 @@ TEST(FabricSupervised, WholeRunJobReportsAndRetriesCleanly)
     jobs.push_back(
         supervisedFabricRunJob("cell1", tech130, config, traffic));
 
-    Result<exec::SupervisedFabricReport> batch =
-        supervisor.run(jobs);
-    ASSERT_TRUE(batch.ok());
-    const exec::SupervisedFabricReport &report = batch.value();
+    const exec::SupervisedFabricReport report = supervisor.run(jobs);
     EXPECT_TRUE(report.allSucceeded());
     ASSERT_EQ(report.reports.size(), 2u);
     // Identical (config, traffic) cells must produce identical

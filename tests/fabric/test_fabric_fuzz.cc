@@ -4,12 +4,11 @@
  * pipeline fuzz pattern (tests/sim/test_pipeline_fuzz.cc) to many
  * segments: every case draws a random topology (mesh / ring /
  * crossbar), encoding scheme, bus width, interval length, traffic
- * pattern and rate, hop latency, coupling setting, pool size, pin
- * policy, and segment group size, then requires the run to be
- * BIT-identical to the serial reference execution (pool 1, group 1,
- * unpinned) of the same (config, stream). Single-tile draws are
- * additionally pinned against a standalone BusSimulator fed the
- * identical word stream.
+ * pattern and rate, hop latency, coupling setting, and pool size,
+ * then requires the run to be BIT-identical to the serial reference
+ * execution (pool 1) of the same (config, stream). Single-tile
+ * draws are additionally pinned against a standalone BusSimulator
+ * fed the identical word stream.
  *
  * Reproducing a failure: every case logs its seed via SCOPED_TRACE;
  * replay one case with
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "exec/thread_pool.hh"
-#include "exec/topology.hh"
 #include "fabric/fabric.hh"
 #include "fabric/traffic.hh"
 #include "fabric_test_util.hh"
@@ -54,7 +52,6 @@ struct FuzzCase
     FabricConfig fabric;
     TrafficConfig traffic;
     unsigned pool_size = 1;
-    exec::PinPolicy pinning = exec::PinPolicy::None;
 
     std::string describe() const
     {
@@ -84,9 +81,7 @@ struct FuzzCase
                trafficPatternName(traffic.pattern) +
                " rate=" + std::to_string(traffic.injection_rate) +
                " txs=" + std::to_string(traffic.max_transactions) +
-               " group=" + std::to_string(fabric.group_size) +
-               " pool=" + std::to_string(pool_size) +
-               " pinning=" + exec::pinPolicyName(pinning);
+               " pool=" + std::to_string(pool_size);
     }
 };
 
@@ -128,7 +123,7 @@ makeCase(uint64_t seed)
     c.fabric.segment_coupling = rng.chance(0.75);
     c.fabric.segment_resistance =
         KelvinMetersPerWatt{2.0 + static_cast<double>(rng.below(80))};
-    c.fabric.group_size = 1 + rng.below(9);
+    (void)rng.below(9); // retired group-size draw: keeps seeds stable
 
     const TrafficPattern patterns[] = {TrafficPattern::Uniform,
                                        TrafficPattern::Hotspot,
@@ -141,10 +136,7 @@ makeCase(uint64_t seed)
 
     const unsigned pools[] = {1, 2, 4};
     c.pool_size = pools[rng.below(3)];
-    const exec::PinPolicy policies[] = {exec::PinPolicy::None,
-                                        exec::PinPolicy::Compact,
-                                        exec::PinPolicy::Scatter};
-    c.pinning = policies[rng.below(3)];
+    (void)rng.below(3); // retired pinning draw: keeps seeds stable
     return c;
 }
 
@@ -186,19 +178,17 @@ runCase(uint64_t seed)
     }
     ASSERT_EQ(txs.size(), c.traffic.max_transactions);
 
-    // Reference: serial, unpinned, one segment per job.
-    FabricConfig ref_config = c.fabric;
-    ref_config.group_size = 1;
-    BusFabric reference(tech130, ref_config);
+    // Reference: serial execution of the same config.
+    BusFabric reference(tech130, c.fabric);
     exec::ThreadPool ref_pool(1);
     VectorTrafficSource ref_source(txs);
     Result<FabricRunStats> ref_stats =
         reference.run(ref_source, ref_pool);
     ASSERT_TRUE(ref_stats.ok()) << ref_stats.error().describe();
 
-    // Case under test: drawn pool / pinning / grouping.
+    // Case under test: the drawn pool size.
     BusFabric fabric(tech130, c.fabric);
-    exec::ThreadPool pool(c.pool_size, c.pinning);
+    exec::ThreadPool pool(c.pool_size);
     VectorTrafficSource source(txs);
     Result<FabricRunStats> stats = fabric.run(source, pool);
     ASSERT_TRUE(stats.ok()) << stats.error().describe();

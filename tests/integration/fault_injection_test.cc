@@ -216,8 +216,9 @@ TEST_F(FaultInjectionSweep, ExhaustedTraceBudgetIsStillFatal)
     // The budget is a containment boundary, not a blank check: a
     // trace that is mostly garbage must still stop the run. In a
     // process the reader's fatal() exits; with setAbortOnError(false)
-    // the batch reader latches the thrown FatalError, so the sweep
-    // stops with an IoError instead of a report.
+    // the batch reader latches the thrown FatalError as a permanent
+    // ParseError (never the retryable IoError), so the sweep stops
+    // instead of producing a report.
     {
         std::ofstream out(path_);
         for (int i = 0; i < 50; ++i)
@@ -230,7 +231,7 @@ TEST_F(FaultInjectionSweep, ExhaustedTraceBudgetIsStillFatal)
         path_, tech130, sweepConfig(), nullptr, options);
     setAbortOnError(true);
     ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.error().code, ErrorCode::IoError);
+    EXPECT_EQ(report.error().code, ErrorCode::ParseError);
 
     // Within budget the same trace only degrades the sweep.
     const SweepReport tolerated = sweep(sweepConfig(), nullptr, 1000);

@@ -3,12 +3,12 @@
  * Randomized differential harness for the batched streaming pipeline:
  * every case draws a random trace shape (bursty, idle-gap, or
  * fault-injected), bus width, encoding scheme, transition kernel
- * (scalar or packed), batch size, pool size, and pinning policy,
- * replays it through SimPipeline, and requires the result to match
- * the per-record oracle BIT-identically (memcmp on the doubles — no
- * tolerance; the oracle runs the same kernel, and each kernel is
- * bit-identical to itself under any batching). Half the widths come
- * from a list straddling the packed kernel's 64-bit lane boundary.
+ * (scalar or packed), batch size, and pool size, replays it through
+ * SimPipeline, and requires the result to match the per-record
+ * oracle BIT-identically (memcmp on the doubles — no tolerance;
+ * the oracle runs the same kernel, and each kernel is bit-identical
+ * to itself under any batching). Half the widths come from a list
+ * straddling the packed kernel's 64-bit lane boundary.
  * Packed cases additionally run a *scalar* oracle and require the
  * totals to agree to FP rounding — the cross-kernel check that the
  * self-consistency pin alone cannot provide.
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "exec/thread_pool.hh"
-#include "exec/topology.hh"
 #include "fabric/bus_sim.hh"
 #include "sim/experiment.hh"
 #include "sim/pipeline.hh"
@@ -135,7 +134,6 @@ struct FuzzCase
     uint64_t interval_cycles = 500;
     size_t batch_size = 256;
     unsigned pool_size = 1;
-    exec::PinPolicy pinning = exec::PinPolicy::None;
     bool prefetch = false;
     std::vector<TraceRecord> records;
     /** Source throws after this many records (FaultInjected only). */
@@ -151,7 +149,6 @@ struct FuzzCase
             " interval=" + std::to_string(interval_cycles) +
             " batch=" + std::to_string(batch_size) +
             " pool=" + std::to_string(pool_size) +
-            " pinning=" + exec::pinPolicyName(pinning) +
             " prefetch=" + (prefetch ? "1" : "0") +
             " records=" + std::to_string(records.size()) +
             (shape == TraceShape::FaultInjected
@@ -240,10 +237,7 @@ makeCase(uint64_t seed)
     c.batch_size = static_cast<size_t>(1 + rng.below(2048));
     const unsigned pools[] = {1, 2, 4};
     c.pool_size = pools[rng.below(3)];
-    const exec::PinPolicy policies[] = {exec::PinPolicy::None,
-                                        exec::PinPolicy::Compact,
-                                        exec::PinPolicy::Scatter};
-    c.pinning = policies[rng.below(3)];
+    (void)rng.below(3); // retired pinning draw: keeps seeds stable
     c.prefetch = rng.chance(0.5);
 
     const size_t n = 100 + rng.below(1400);
@@ -304,7 +298,7 @@ checkCleanCase(const FuzzCase &c)
     VectorTraceSource oracle_source(c.records);
     const uint64_t oracle_n = oracle.runPerRecord(oracle_source);
 
-    exec::ThreadPool pool(c.pool_size, c.pinning);
+    exec::ThreadPool pool(c.pool_size);
     TwinBusSimulator twin(tech130, caseConfig(c));
     SimPipeline::Config pc;
     pc.batch_size = c.batch_size;
@@ -352,7 +346,7 @@ checkCleanCase(const FuzzCase &c)
 void
 checkFaultCase(const FuzzCase &c)
 {
-    exec::ThreadPool pool(c.pool_size, c.pinning);
+    exec::ThreadPool pool(c.pool_size);
     TwinBusSimulator twin(tech130, caseConfig(c));
     SimPipeline::Config pc;
     pc.batch_size = c.batch_size;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "thermal/network.hh"
 #include "util/faultinject.hh"
@@ -69,6 +70,57 @@ TEST(ThermalNet, SteadyStateSolveMatchesTransient)
     std::vector<double> ss = net.steadyState(power);
     for (unsigned i = 0; i < 5; ++i)
         EXPECT_NEAR(net.temperature(i).raw(), ss[i], 1e-5) << i;
+}
+
+TEST(ThermalNet, SteadyStateConservesHeat)
+{
+    // Energy conservation at steady state: all injected power leaves
+    // through the wires' self paths to the reference temperature,
+    // sum_i P_i = sum_i (theta_i - theta_ref) / R_self. The lateral
+    // exchange is pairwise antisymmetric, so it must cancel in the
+    // sum even though the non-uniform power makes every lateral
+    // flow non-zero.
+    const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
+    constexpr unsigned kWires = 8;
+    const std::vector<double> power = {0.9, 0.0, 0.3, 1.2,
+                                       0.05, 0.6, 0.0, 0.45};
+    double total_in = 0.0;
+    for (double p : power)
+        total_in += p;
+
+    for (StackMode mode : {StackMode::None, StackMode::Static}) {
+        SCOPED_TRACE(mode == StackMode::None ? "None" : "Static");
+        ThermalConfig config = noStack(true);
+        config.stack_mode = mode;
+        config.delta_theta = Kelvin{4.0};
+        config.solver = ThermalSolver::Rk4;
+        ThermalNetwork net(tech, kWires, config);
+        const double r = net.wireParams().selfResistance().raw();
+        const double ref = mode == StackMode::None
+                               ? ambient
+                               : ambient + config.delta_theta.raw();
+        auto outflow = [&](const std::vector<double> &theta) {
+            double total = 0.0;
+            for (unsigned i = 0; i < kWires; ++i)
+                total += (theta[i] - ref) / r;
+            return total;
+        };
+
+        // Direct solve: exact up to rounding.
+        const std::vector<double> ss = net.steadyState(power);
+        EXPECT_NEAR(outflow(ss), total_in, 1e-12 * total_in);
+
+        // RK4 transient after 20 self time constants. Each wire sits
+        // within SteadyStateSolveMatchesTransient's 1e-5 K of steady
+        // state, so the outflow sum is within kWires * 1e-5 K / R.
+        net.reset(Kelvin{ambient});
+        const double tau = net.wireParams().timeConstant().raw();
+        net.advance(power, Seconds{20.0 * tau});
+        std::vector<double> theta(kWires);
+        for (unsigned i = 0; i < kWires; ++i)
+            theta[i] = net.temperature(i).raw();
+        EXPECT_NEAR(outflow(theta), total_in, kWires * 1e-5 / r);
+    }
 }
 
 TEST(ThermalNet, LateralCouplingWarmsIdleNeighbors)

@@ -24,9 +24,8 @@ sys.path.insert(0, os.path.join(REPO, "tools"))
 
 import check_bench  # noqa: E402
 
-RUN_META_KEYS = ("bench", "threads", "pinning", "workers_per_node",
-                 "total_wall_ms", "shard_total_ms", "tasks_run",
-                 "steals", "shards")
+RUN_META_KEYS = ("bench", "threads", "total_wall_ms",
+                 "shard_total_ms", "tasks_run", "steals", "shards")
 
 failures = []
 
@@ -40,8 +39,7 @@ def report(name, ok, detail=""):
 
 def run_meta(bench, shards):
     return {
-        "bench": bench, "threads": 4, "pinning": "none",
-        "workers_per_node": [], "total_wall_ms": 120.0,
+        "bench": bench, "threads": 4, "total_wall_ms": 120.0,
         "shard_total_ms": sum(ms for _, ms in shards),
         "tasks_run": 10, "steals": 2,
         "shards": [{"label": label, "wall_ms": ms}

@@ -3,8 +3,8 @@
 benches (bench/perf_pipeline.cc, perf_fabric.cc, perf_thermal.cc).
 
 Every report opens with the RunMeta block (bench/bench_common.hh):
-bench name, thread count, pinning policy, pinned workers per NUMA
-node, total and per-shard wall-clock, and the pool counters. That
+bench name, thread count, total and per-shard wall-clock, and the
+pool counters. That
 block is validated once for every bench. One section per bench then
 re-derives the claims the report makes:
 
@@ -57,12 +57,6 @@ def check_run_meta(data, bench):
     if name != bench:
         fail(f"bench is {name!r}, expected {bench!r}")
     field(data, "threads", int, "report", minimum=1)
-    if field(data, "pinning", str, "report") not in (
-            "none", "compact", "scatter"):
-        fail(f"unknown pinning {data['pinning']!r}")
-    for count in field(data, "workers_per_node", list, "report"):
-        if not isinstance(count, int) or count < 0:
-            fail("workers_per_node has a non-count entry")
     field(data, "total_wall_ms", NUMBER, "report", minimum=0)
     shard_total = field(data, "shard_total_ms", NUMBER, "report",
                         minimum=0)

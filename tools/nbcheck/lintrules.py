@@ -48,8 +48,8 @@ _MESSAGES = {
         "raw std::thread/std::jthread/std::async outside src/exec/; "
         "use exec::ThreadPool (or the exec/parallel.hh helpers)",
     "raw-affinity":
-        "raw affinity call outside src/exec/; use "
-        "exec::pinThreadToCpu / PinPolicy (src/exec/topology.hh)",
+        "thread affinity call; the exec runtime places work only by "
+        "pool size and chunk hints, so nothing pins threads",
     "raw-trace-next":
         "per-record TraceSource::next() in a replay hot path; stream "
         "through BatchReader/PrefetchReader or SimPipeline "
