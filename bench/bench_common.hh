@@ -297,10 +297,10 @@ class RunMeta
 };
 
 /**
- * Thermal integrator from `--solver=rk4|be|backward-euler|cn|
- * trapezoidal`, defaulting to the caller's choice when the flag is
- * absent (the figure benches default to the paper-faithful RK4
- * oracle; docs/THERMAL.md has the selection guidance). An
+ * Thermal integrator from `--solver=rk4|tr-bdf2|trbdf2`, defaulting
+ * to the caller's choice when the flag is absent (the figure benches
+ * default to the paper-faithful RK4 oracle; docs/THERMAL.md has the
+ * selection guidance). An
  * unrecognized value is a usage error: print it and exit(2) rather
  * than silently benchmarking the wrong integrator.
  */
@@ -313,8 +313,7 @@ thermalSolverFromFlags(const Flags &flags, ThermalSolver fallback)
     if (auto solver = parseThermalSolver(value))
         return *solver;
     std::fprintf(stderr,
-                 "--solver=%s: expected rk4, be/backward-euler, or "
-                 "cn/trapezoidal\n",
+                 "--solver=%s: expected rk4 or tr-bdf2/trbdf2\n",
                  value.c_str());
     std::exit(2);
 }

@@ -2,17 +2,17 @@
  * @file
  * perf_thermal — scaling study of the structured thermal solver
  * (src/thermal over src/la): the width ladder 32 / 512 / 4096 /
- * 10000 wires stepped by each ThermalSolver, timing milliseconds
- * per simulated interval.
+ * 10000 wires stepped by each ThermalSolver (RK4 oracle, TR-BDF2),
+ * timing milliseconds per simulated interval.
  *
  * Protocol (same discipline as perf_fabric / perf_pipeline): every
  * timing cell is gated on correctness pins run first —
  *
  *  1. steady-state equivalence: after ~10 stack time constants each
- *     solver (RK4 oracle, backward Euler, trapezoidal) must land on
- *     the direct banded solve of G θ = b within 1e-6 relative;
+ *     solver (RK4 oracle, TR-BDF2) must land on the direct banded
+ *     solve of G θ = b within 1e-6 relative;
  *  2. transient equivalence: over one wire time constant (the Fig 4
- *     ramp shape at interval scale) the implicit trajectories must
+ *     ramp shape at interval scale) the TR-BDF2 trajectory must
  *     track the RK4 oracle within a small fraction of the rise.
  *
  * The timed ladder then runs; RK4 cells stop at --rk4-max-width
@@ -20,7 +20,7 @@
  * cost is not, and the point of the study is that the implicit
  * per-interval cost at 10k wires undercuts even the narrowest RK4
  * cell). The acceptance block gates exactly that claim: the widest
- * implicit cell must be faster per simulated interval than the
+ * TR-BDF2 cell must be faster per simulated interval than the
  * 32-wire RK4 oracle. Everything lands in BENCH_thermal.json
  * (`tools/check_bench.py thermal` validates the schema).
  *
@@ -50,8 +50,7 @@ constexpr double kAmbient = 318.15; // paper's 45 C substrate [K]
  *  stack time constant so the RK4 oracle reaches steady state in a
  *  horizon it can afford. */
 ThermalConfig
-cellThermalConfig(ThermalSolver solver, double stack_tau_s,
-                  unsigned implicit_steps)
+cellThermalConfig(ThermalSolver solver, double stack_tau_s)
 {
     ThermalConfig config;
     config.ambient = Kelvin{kAmbient};
@@ -59,7 +58,6 @@ cellThermalConfig(ThermalSolver solver, double stack_tau_s,
     config.delta_theta = Kelvin{12.0};
     config.stack_time_constant = Seconds{stack_tau_s};
     config.solver = solver;
-    config.implicit_steps = implicit_steps;
     return config;
 }
 
@@ -88,39 +86,34 @@ maxRelativeError(const std::vector<double> &probe,
 }
 
 constexpr double kSteadyTolerance = 1e-6;   // relative, vs direct
-constexpr double kTransientTolCn = 0.02;    // fraction of the rise
-constexpr double kTransientTolBe = 0.15;
+constexpr double kTransientTolerance = 0.02; // fraction of the rise
 
 struct EquivalencePin
 {
     double steady_rel_err_rk4 = 0.0;
-    double steady_rel_err_be = 0.0;
-    double steady_rel_err_cn = 0.0;
-    double transient_rel_dev_be = 0.0;
-    double transient_rel_dev_cn = 0.0;
+    double steady_rel_err_trbdf2 = 0.0;
+    double transient_rel_dev_trbdf2 = 0.0;
     bool passed = false;
 };
 
 /**
  * Steady-state pin: integrate a 32-wire Dynamic-stack network to
  * ~10 stack time constants with each solver and compare against the
- * direct banded solve. The implicit methods are exactly
- * fixed-point-preserving, so 1e-6 relative is a conservative gate
- * even for the RK4 oracle.
+ * direct banded solve. TR-BDF2 is exactly fixed-point-preserving,
+ * so 1e-6 relative is a conservative gate even for the RK4 oracle.
  */
 bool
 pinSteadyState(const TechnologyNode &tech, EquivalencePin &pin)
 {
     const double stack_tau = 1e-3;
     const unsigned width = 32;
-    double *slots[] = {&pin.steady_rel_err_rk4, &pin.steady_rel_err_be,
-                       &pin.steady_rel_err_cn};
+    double *slots[] = {&pin.steady_rel_err_rk4,
+                       &pin.steady_rel_err_trbdf2};
     const ThermalSolver solvers[] = {ThermalSolver::Rk4,
-                                     ThermalSolver::BackwardEuler,
-                                     ThermalSolver::Trapezoidal};
-    for (size_t s = 0; s < 3; ++s) {
+                                     ThermalSolver::TrBdf2};
+    for (size_t s = 0; s < 2; ++s) {
         ThermalNetwork net(
-            tech, width, cellThermalConfig(solvers[s], stack_tau, 8));
+            tech, width, cellThermalConfig(solvers[s], stack_tau));
         const std::vector<double> power = cellPower(net);
         const std::vector<double> direct = net.steadyState(power);
         for (int k = 0; k < 64; ++k) // horizon = 16 stack tau
@@ -137,16 +130,16 @@ pinSteadyState(const TechnologyNode &tech, EquivalencePin &pin)
             return false;
         }
     }
-    std::printf("steady-state pin: rk4 %.2e, be %.2e, cn %.2e "
-                "relative vs the direct banded solve (gate %.0e)\n",
-                pin.steady_rel_err_rk4, pin.steady_rel_err_be,
-                pin.steady_rel_err_cn, kSteadyTolerance);
+    std::printf("steady-state pin: rk4 %.2e, tr-bdf2 %.2e relative "
+                "vs the direct banded solve (gate %.0e)\n",
+                pin.steady_rel_err_rk4, pin.steady_rel_err_trbdf2,
+                kSteadyTolerance);
     return true;
 }
 
 /**
  * Transient pin: one wire time constant of ramp (the steep part of
- * the Fig 4 shape), implicit trajectories vs the RK4 oracle,
+ * the Fig 4 shape), the TR-BDF2 trajectory vs the RK4 oracle,
  * deviation measured as a fraction of the oracle's rise.
  */
 bool
@@ -157,7 +150,7 @@ pinTransient(const TechnologyNode &tech, EquivalencePin &pin)
 
     ThermalNetwork oracle(
         tech, width,
-        cellThermalConfig(ThermalSolver::Rk4, stack_tau, 16));
+        cellThermalConfig(ThermalSolver::Rk4, stack_tau));
     const std::vector<double> power = cellPower(oracle);
     const double tau_wire = oracle.wireParams().timeConstant().raw();
     oracle.advance(power, Seconds{tau_wire});
@@ -170,34 +163,26 @@ pinTransient(const TechnologyNode &tech, EquivalencePin &pin)
         return false;
     }
 
-    const ThermalSolver implicit_solvers[] = {
-        ThermalSolver::BackwardEuler, ThermalSolver::Trapezoidal};
-    double *slots[] = {&pin.transient_rel_dev_be,
-                       &pin.transient_rel_dev_cn};
-    const double gates[] = {kTransientTolBe, kTransientTolCn};
-    for (size_t s = 0; s < 2; ++s) {
-        ThermalNetwork net(
-            tech, width,
-            cellThermalConfig(implicit_solvers[s], stack_tau, 16));
-        net.advance(power, Seconds{tau_wire});
-        const std::vector<double> probe = net.temperatures();
-        double dev = 0.0;
-        for (size_t i = 0; i < probe.size(); ++i)
-            dev = std::max(dev, std::fabs(probe[i] - reference[i]));
-        *slots[s] = dev / rise;
-        if (!(*slots[s] <= gates[s])) {
-            std::fprintf(stderr,
-                         "FAIL: %s transient deviates from RK4 by "
-                         "%.1f%% of the rise (gate %.0f%%)\n",
-                         thermalSolverName(implicit_solvers[s]),
-                         100.0 * *slots[s], 100.0 * gates[s]);
-            return false;
-        }
+    ThermalNetwork net(
+        tech, width,
+        cellThermalConfig(ThermalSolver::TrBdf2, stack_tau));
+    net.advance(power, Seconds{tau_wire});
+    const std::vector<double> probe = net.temperatures();
+    double dev = 0.0;
+    for (size_t i = 0; i < probe.size(); ++i)
+        dev = std::max(dev, std::fabs(probe[i] - reference[i]));
+    pin.transient_rel_dev_trbdf2 = dev / rise;
+    if (!(pin.transient_rel_dev_trbdf2 <= kTransientTolerance)) {
+        std::fprintf(stderr,
+                     "FAIL: tr-bdf2 transient deviates from RK4 by "
+                     "%.1f%% of the rise (gate %.0f%%)\n",
+                     100.0 * pin.transient_rel_dev_trbdf2,
+                     100.0 * kTransientTolerance);
+        return false;
     }
-    std::printf("transient pin: be %.2f%%, cn %.2f%% of a %.2f K "
-                "rise vs the RK4 oracle over one wire tau\n\n",
-                100.0 * pin.transient_rel_dev_be,
-                100.0 * pin.transient_rel_dev_cn, rise);
+    std::printf("transient pin: tr-bdf2 %.2e of a %.2f K rise vs the "
+                "RK4 oracle over one wire tau\n\n",
+                pin.transient_rel_dev_trbdf2, rise);
     return true;
 }
 
@@ -225,7 +210,7 @@ main(int argc, char **argv)
     const std::string json_path = flags.get("json", "");
 
     bench::banner("thermal solver scaling (src/thermal + src/la)",
-                  "Implicit banded steppers vs the RK4 oracle on the "
+                  "TR-BDF2 banded stepper vs the RK4 oracle on the "
                   "wire-width ladder (equivalence-gated)");
 
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
@@ -241,9 +226,10 @@ main(int argc, char **argv)
 
     // ------------------------------------------------------------
     // Timed ladder: widths x solvers, ms per simulated interval.
-    // The implicit cells pay one operator factorization on the
-    // first interval and one O(width) solve per step after that;
-    // the RK4 cells pay duration / (0.2 tau_min) steps per interval
+    // The TR-BDF2 cells pay one operator factorization per ladder
+    // rung on the first interval and three O(width) solves per step
+    // after that, with the step count following the transient; the
+    // RK4 cells pay duration / (0.2 tau_min) steps per interval
     // regardless of the horizon.
     // ------------------------------------------------------------
     const std::vector<unsigned> ladder =
@@ -257,13 +243,12 @@ main(int argc, char **argv)
     std::vector<Cell> cells;
     for (unsigned width : ladder) {
         for (ThermalSolver solver : {ThermalSolver::Rk4,
-                                     ThermalSolver::BackwardEuler,
-                                     ThermalSolver::Trapezoidal}) {
+                                     ThermalSolver::TrBdf2}) {
             if (solver == ThermalSolver::Rk4 &&
                 width > rk4_max_width)
                 continue;
             ThermalNetwork net(
-                tech, width, cellThermalConfig(solver, 0.020, 4));
+                tech, width, cellThermalConfig(solver, 0.020));
             const std::vector<double> power = cellPower(net);
             bench::WallTimer timer;
             for (uint64_t k = 0; k < intervals; ++k)
@@ -286,36 +271,34 @@ main(int argc, char **argv)
     }
 
     // ------------------------------------------------------------
-    // Acceptance: the widest implicit cell must step a simulated
+    // Acceptance: the widest TR-BDF2 cell must step a simulated
     // interval faster than the narrowest RK4 oracle cell.
     // ------------------------------------------------------------
     const Cell *rk4_base = nullptr;
-    const Cell *implicit_worst = nullptr; // slower of BE/CN at wmax
-    unsigned max_width = ladder.back();
+    const Cell *implicit_cell = nullptr;
+    const unsigned max_width = ladder.back();
     for (const Cell &cell : cells) {
         if (cell.solver == ThermalSolver::Rk4 &&
             (!rk4_base || cell.width < rk4_base->width))
             rk4_base = &cell;
-        if (cell.solver != ThermalSolver::Rk4 &&
-            cell.width == max_width &&
-            (!implicit_worst ||
-             cell.ms_per_interval > implicit_worst->ms_per_interval))
-            implicit_worst = &cell;
+        if (cell.solver == ThermalSolver::TrBdf2 &&
+            cell.width == max_width)
+            implicit_cell = &cell;
     }
-    if (!rk4_base || !implicit_worst)
+    if (!rk4_base || !implicit_cell)
         fatal("perf_thermal: acceptance cells missing from ladder");
-    const bool accepted = implicit_worst->ms_per_interval <
+    const bool accepted = implicit_cell->ms_per_interval <
                           rk4_base->ms_per_interval;
     const double speedup =
-        implicit_worst->ms_per_interval > 0.0
+        implicit_cell->ms_per_interval > 0.0
             ? rk4_base->ms_per_interval /
-                  implicit_worst->ms_per_interval
+                  implicit_cell->ms_per_interval
             : 0.0;
     std::printf("\nacceptance: %u-wire %s %.4f ms/interval vs "
                 "%u-wire rk4 %.4f ms/interval (%.1fx) — %s\n",
-                implicit_worst->width,
-                thermalSolverName(implicit_worst->solver),
-                implicit_worst->ms_per_interval, rk4_base->width,
+                implicit_cell->width,
+                thermalSolverName(implicit_cell->solver),
+                implicit_cell->ms_per_interval, rk4_base->width,
                 rk4_base->ms_per_interval, speedup,
                 accepted ? "PASS" : "FAIL");
 
@@ -326,15 +309,12 @@ main(int argc, char **argv)
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "{\"steady_rel_err_rk4\": %.6e, "
-                  "\"steady_rel_err_be\": %.6e, "
-                  "\"steady_rel_err_cn\": %.6e, "
+                  "\"steady_rel_err_trbdf2\": %.6e, "
                   "\"steady_tolerance\": %.1e, "
-                  "\"transient_rel_dev_be\": %.6e, "
-                  "\"transient_rel_dev_cn\": %.6e, "
+                  "\"transient_rel_dev_trbdf2\": %.6e, "
                   "\"passed\": %s}",
-                  pin.steady_rel_err_rk4, pin.steady_rel_err_be,
-                  pin.steady_rel_err_cn, kSteadyTolerance,
-                  pin.transient_rel_dev_be, pin.transient_rel_dev_cn,
+                  pin.steady_rel_err_rk4, pin.steady_rel_err_trbdf2,
+                  kSteadyTolerance, pin.transient_rel_dev_trbdf2,
                   pin.passed ? "true" : "false");
     meta.addSection("equivalence", buf);
 
@@ -361,9 +341,9 @@ main(int argc, char **argv)
                   "\"rk4_width\": %u, "
                   "\"rk4_ms_per_interval\": %.4f, "
                   "\"speedup\": %.2f, \"passed\": %s}",
-                  implicit_worst->width,
-                  thermalSolverName(implicit_worst->solver),
-                  implicit_worst->ms_per_interval, rk4_base->width,
+                  implicit_cell->width,
+                  thermalSolverName(implicit_cell->solver),
+                  implicit_cell->ms_per_interval, rk4_base->width,
                   rk4_base->ms_per_interval, speedup,
                   accepted ? "true" : "false");
     meta.addSection("acceptance", buf);

@@ -139,14 +139,17 @@ Status
 BusSimulator::saveState(SnapshotWriter &w) const
 {
     // Identity guard: restore refuses a snapshot taken under a
-    // different scheme, bus shape, interval length, or transition
-    // kernel, since the serialized state would be meaningless there
-    // (the two kernels persist different energy-state payloads).
+    // different scheme, bus shape, interval length, transition
+    // kernel, or thermal solver, since the serialized state would be
+    // meaningless there (the two kernels persist different
+    // energy-state payloads) or the resumed run would silently mix
+    // integrators.
     w.putString(encoder_->name());
     w.putU32(encoder_->busWidth());
     w.putU32(encoder_->dataWidth());
     w.putU64(config_.interval_cycles);
     w.putU32(static_cast<uint32_t>(config_.kernel));
+    w.putU32(static_cast<uint32_t>(config_.thermal.solver));
 
     std::vector<uint64_t> words;
     if (!encoder_->captureState(words)) {
@@ -234,11 +237,13 @@ BusSimulator::restoreState(SnapshotReader &r)
     uint32_t data_width = 0;
     uint64_t interval_cycles = 0;
     uint32_t kernel_tag = 0;
+    uint32_t solver_tag = 0;
     NANOBUS_SNAP_TRY(r.getString(encoder_name));
     NANOBUS_SNAP_TRY(r.getU32(bus_width));
     NANOBUS_SNAP_TRY(r.getU32(data_width));
     NANOBUS_SNAP_TRY(r.getU64(interval_cycles));
     NANOBUS_SNAP_TRY(r.getU32(kernel_tag));
+    NANOBUS_SNAP_TRY(r.getU32(solver_tag));
     if (encoder_name != encoder_->name() ||
         bus_width != encoder_->busWidth() ||
         data_width != encoder_->dataWidth() ||
@@ -263,6 +268,15 @@ BusSimulator::restoreState(SnapshotReader &r)
                     static_cast<TransitionKernel>(kernel_tag))) +
                 "' transition kernel but this simulator runs '" +
                 transitionKernelName(config_.kernel) + "'");
+    }
+    if (solver_tag != static_cast<uint32_t>(config_.thermal.solver)) {
+        return Status::failure(
+            ErrorCode::InvalidArgument,
+            "restoreState: snapshot was taken under the '" +
+                std::string(thermalSolverName(
+                    static_cast<ThermalSolver>(solver_tag))) +
+                "' thermal solver but this simulator runs '" +
+                thermalSolverName(config_.thermal.solver) + "'");
     }
 
     uint64_t word_count = 0;

@@ -199,8 +199,9 @@ BandedFactorization::factor()
     rcond_ = -1.0;
 
     // Thomas elimination on the band, no pivoting (header contract:
-    // diagonally dominant inputs). diag_ becomes the U pivots,
-    // lower_ the L multipliers; upper_ is untouched.
+    // diagonally dominant inputs). diag_ becomes the U pivots (then
+    // their reciprocals, below), lower_ the L multipliers; upper_ is
+    // untouched.
     for (size_t i = 0; i < n; ++i) {
         if (i > 0) {
             const double m = band_.lower(i - 1) / band_.diag(i - 1);
@@ -215,6 +216,10 @@ BandedFactorization::factor()
                     std::to_string(std::fabs(band_.diag(i))) +
                     " below tolerance)");
     }
+    // Keep the pivots' reciprocals: the substitutions then multiply
+    // instead of dividing along their serial dependency chains.
+    for (size_t i = 0; i < n; ++i)
+        band_.diag(i) = 1.0 / band_.diag(i);
 
     if (band_.hasBorder()) {
         // w = T^-1 u (border column) and wt = T^-T v (border row),
@@ -225,8 +230,8 @@ BandedFactorization::factor()
             border_w_[i] = band_.borderCol(i);
             border_wt_[i] = band_.borderRow(i);
         }
-        bandSolve(border_w_);
-        bandSolveTransposed(border_wt_);
+        bandSolve(border_w_.data());
+        bandSolveTransposed(border_wt_.data());
         double vtw = 0.0;
         for (size_t i = 0; i < n; ++i)
             vtw += band_.borderRow(i) * border_w_[i];
@@ -245,76 +250,91 @@ BandedFactorization::factor()
 }
 
 void
-BandedFactorization::bandSolve(std::vector<double> &x) const
+BandedFactorization::bandSolve(double *x) const
 {
     const size_t n = band_.bandOrder();
     // Forward through unit-lower L, then backward through U.
     for (size_t i = 1; i < n; ++i)
         x[i] -= band_.lower(i - 1) * x[i - 1];
-    x[n - 1] /= band_.diag(n - 1);
+    x[n - 1] *= band_.diag(n - 1);
     for (size_t ii = n - 1; ii-- > 0;)
-        x[ii] = (x[ii] - band_.upper(ii) * x[ii + 1]) /
+        x[ii] = (x[ii] - band_.upper(ii) * x[ii + 1]) *
                 band_.diag(ii);
 }
 
 void
-BandedFactorization::bandSolveTransposed(std::vector<double> &x) const
+BandedFactorization::bandSolveTransposed(double *x) const
 {
     const size_t n = band_.bandOrder();
     // T^T = U^T L^T: forward through U^T, then backward through L^T.
-    x[0] /= band_.diag(0);
+    x[0] *= band_.diag(0);
     for (size_t i = 1; i < n; ++i)
-        x[i] = (x[i] - band_.upper(i - 1) * x[i - 1]) /
+        x[i] = (x[i] - band_.upper(i - 1) * x[i - 1]) *
                band_.diag(i);
     for (size_t ii = n - 1; ii-- > 0;)
         x[ii] -= band_.lower(ii) * x[ii + 1];
 }
 
-std::vector<double>
-BandedFactorization::solve(const std::vector<double> &b) const
+void
+BandedFactorization::solveInPlace(std::vector<double> &x) const
 {
     const size_t n = band_.bandOrder();
-    if (b.size() != order())
+    if (x.size() != order())
         panic("BandedFactorization::solve: rhs size %zu != order %zu",
-              b.size(), order());
+              x.size(), order());
 
-    std::vector<double> x(b.begin(), b.begin() +
-                                         static_cast<ptrdiff_t>(n));
-    bandSolve(x);
+    bandSolve(x.data());
     if (band_.hasBorder()) {
         double vty = 0.0;
         for (size_t i = 0; i < n; ++i)
             vty += band_.borderRow(i) * x[i];
-        const double xn = (b[n] - vty) / schur_;
+        const double xn = (x[n] - vty) / schur_;
         for (size_t i = 0; i < n; ++i)
             x[i] -= xn * border_w_[i];
-        x.push_back(xn);
+        x[n] = xn;
     }
+}
+
+std::vector<double>
+BandedFactorization::solve(const std::vector<double> &b) const
+{
+    std::vector<double> x = b;
+    solveInPlace(x);
     return x;
+}
+
+Status
+BandedFactorization::trySolveInPlace(std::vector<double> &x) const
+{
+    if (FaultInjector::active() &&
+        FaultInjector::instance().fireCallFault(FaultSite::LuSolve))
+        return Status::failure(ErrorCode::FaultInjected,
+                               "injected solve failure");
+
+    if (x.size() != order())
+        return Status::failure(
+            ErrorCode::InvalidArgument,
+            "rhs size " + std::to_string(x.size()) + " != order " +
+                std::to_string(order()));
+    if (!allFinite(x))
+        return Status::failure(ErrorCode::NonFinite,
+                               "rhs has a non-finite entry");
+
+    solveInPlace(x);
+    if (!allFinite(x))
+        return Status::failure(
+            ErrorCode::NonFinite,
+            "solution overflowed (matrix effectively singular)");
+    return Status();
 }
 
 Result<std::vector<double>>
 BandedFactorization::trySolve(const std::vector<double> &b) const
 {
-    if (FaultInjector::active() &&
-        FaultInjector::instance().fireCallFault(FaultSite::LuSolve))
-        return Result<std::vector<double>>::failure(
-            ErrorCode::FaultInjected, "injected solve failure");
-
-    if (b.size() != order())
-        return Result<std::vector<double>>::failure(
-            ErrorCode::InvalidArgument,
-            "rhs size " + std::to_string(b.size()) + " != order " +
-                std::to_string(order()));
-    if (!allFinite(b))
-        return Result<std::vector<double>>::failure(
-            ErrorCode::NonFinite, "rhs has a non-finite entry");
-
-    std::vector<double> x = solve(b);
-    if (!allFinite(x))
-        return Result<std::vector<double>>::failure(
-            ErrorCode::NonFinite,
-            "solution overflowed (matrix effectively singular)");
+    std::vector<double> x = b;
+    Status solved = trySolveInPlace(x);
+    if (!solved.ok())
+        return Result<std::vector<double>>(solved.error());
     return Result<std::vector<double>>(std::move(x));
 }
 
@@ -330,7 +350,7 @@ BandedFactorization::solveTransposed(const std::vector<double> &b) const
     // s = d - v^T T^-1 u = d - u^T T^-T v.
     std::vector<double> x(b.begin(), b.begin() +
                                          static_cast<ptrdiff_t>(n));
-    bandSolveTransposed(x);
+    bandSolveTransposed(x.data());
     if (band_.hasBorder()) {
         double uty = 0.0;
         for (size_t i = 0; i < n; ++i)
@@ -348,7 +368,7 @@ BandedFactorization::determinant() const
 {
     double det = 1.0;
     for (size_t i = 0; i < band_.bandOrder(); ++i)
-        det *= band_.diag(i);
+        det /= band_.diag(i);
     if (band_.hasBorder())
         det *= schur_;
     return det;

@@ -124,8 +124,8 @@ class BandedMatrix
 
 /**
  * LU factorization of a BandedMatrix, reusable across many
- * right-hand sides (the implicit thermal stepper factors once per
- * interval and solves every step).
+ * right-hand sides (the TR-BDF2 thermal stepper factors once per
+ * step width and solves three times per step).
  *
  * Tridiagonal part: the Thomas algorithm, A = L U with unit-lower L
  * holding the elimination multipliers and U the updated diagonal plus
@@ -171,6 +171,11 @@ class BandedFactorization
     [[nodiscard]] Result<std::vector<double>> trySolve(
         const std::vector<double> &b) const;
 
+    /** trySolve() in place (same checks and fault site): `x` holds b
+     *  on entry and the solution on return, with no allocation. On
+     *  failure `x` may hold partial results. */
+    [[nodiscard]] Status trySolveInPlace(std::vector<double> &x) const;
+
     /** Solve the transposed system A^T x = b (condition estimator). */
     std::vector<double> solveTransposed(
         const std::vector<double> &b) const;
@@ -196,12 +201,17 @@ class BandedFactorization
 
     Status factor();
 
-    /** Band-only Thomas substitution, `x` sized bandOrder(). */
-    void bandSolve(std::vector<double> &x) const;
-    void bandSolveTransposed(std::vector<double> &x) const;
+    /** solve() in place (`x` holds b on entry); shared by solve()
+     *  and trySolveInPlace(). */
+    void solveInPlace(std::vector<double> &x) const;
 
-    /** Factored band: diag_ holds the U pivots, lower_ the L
-     *  multipliers, upper_ the (unchanged) superdiagonal. */
+    /** Band-only Thomas substitution over x[0, bandOrder()). */
+    void bandSolve(double *x) const;
+    void bandSolveTransposed(double *x) const;
+
+    /** Factored band: diag_ holds the reciprocals of the U pivots,
+     *  lower_ the L multipliers, upper_ the (unchanged)
+     *  superdiagonal. */
     BandedMatrix band_;
     /** w = T^-1 u and wt = T^-T v (bordered only). */
     std::vector<double> border_w_;

@@ -25,9 +25,8 @@ const char *
 thermalSolverName(ThermalSolver solver)
 {
     switch (solver) {
-      case ThermalSolver::Rk4:           return "rk4";
-      case ThermalSolver::BackwardEuler: return "backward-euler";
-      case ThermalSolver::Trapezoidal:   return "trapezoidal";
+      case ThermalSolver::Rk4:    return "rk4";
+      case ThermalSolver::TrBdf2: return "tr-bdf2";
     }
     return "unknown";
 }
@@ -37,25 +36,10 @@ parseThermalSolver(const std::string &name)
 {
     if (name == "rk4")
         return ThermalSolver::Rk4;
-    if (name == "be" || name == "backward-euler")
-        return ThermalSolver::BackwardEuler;
-    if (name == "cn" || name == "trapezoidal")
-        return ThermalSolver::Trapezoidal;
+    if (name == "tr-bdf2" || name == "trbdf2")
+        return ThermalSolver::TrBdf2;
     return std::nullopt;
 }
-
-namespace {
-
-/** The ImplicitMethod a ThermalSolver maps onto (Rk4 has none). */
-ImplicitMethod
-implicitMethodFor(ThermalSolver solver)
-{
-    return solver == ThermalSolver::BackwardEuler
-        ? ImplicitMethod::BackwardEuler
-        : ImplicitMethod::Trapezoidal;
-}
-
-} // anonymous namespace
 
 ThermalNetwork::ThermalNetwork(const TechnologyNode &tech,
                                unsigned num_wires,
@@ -63,16 +47,14 @@ ThermalNetwork::ThermalNetwork(const TechnologyNode &tech,
     : num_wires_(num_wires), config_(config), params_(tech),
       solver_(num_wires +
               (config.stack_mode == StackMode::Dynamic ? 1 : 0)),
-      implicit_(num_wires +
-                (config.stack_mode == StackMode::Dynamic ? 1 : 0))
+      trbdf2_(num_wires +
+              (config.stack_mode == StackMode::Dynamic ? 1 : 0))
 {
     if (num_wires == 0)
         fatal("ThermalNetwork: bus must have at least one wire");
     if (config_.ambient.raw() <= 0.0)
         fatal("ThermalNetwork: ambient %g K must be positive",
               config_.ambient.raw());
-    if (config_.implicit_steps == 0)
-        fatal("ThermalNetwork: implicit_steps must be >= 1");
 
     r_self_ = params_.selfResistance().raw();
     r_lateral_ = params_.lateralResistance().raw();
@@ -187,86 +169,86 @@ ThermalNetwork::buildForcing(const std::vector<double> &power)
     }
 }
 
-Status
-ThermalNetwork::prepareImplicit(double dt)
+const BandedFactorization *
+ThermalNetwork::rungFactor(double duration, unsigned rung, Error &error)
 {
-    if (step_factor_ && factored_dt_ == dt)
-        return Status();
+    if (duration != rung_duration_) {
+        rung_factors_.clear();
+        rung_duration_ = duration;
+    }
+    if (rung < rung_factors_.size() && rung_factors_[rung])
+        return rung_factors_[rung].get();
 
-    // M = I - c dt A shares the Jacobian's structure. A is a (weakly
-    // diagonally dominant) M-matrix, so M is *strictly* diagonally
-    // dominant for any dt > 0 — exactly the la/banded no-pivoting
-    // contract.
-    const double h =
-        implicitOperatorCoefficient(implicitMethodFor(config_.solver)) *
-        dt;
+    // M = I - (γh/2) A shares the Jacobian's structure. A is a
+    // (weakly diagonally dominant) M-matrix, so M is *strictly*
+    // diagonally dominant for any h > 0 — exactly the la/banded
+    // no-pivoting contract.
+    const double c = TrBdf2Solver<BandedFactorization>::kOperatorScale *
+        std::ldexp(duration, -static_cast<int>(rung));
     BandedMatrix m = dynamicStack()
         ? BandedMatrix::bordered(num_wires_)
         : BandedMatrix::tridiagonal(num_wires_);
     for (unsigned i = 0; i < num_wires_; ++i) {
-        m.diag(i) = 1.0 - h * jacobian_.diag(i);
+        m.diag(i) = 1.0 - c * jacobian_.diag(i);
         if (i + 1 < num_wires_) {
-            m.upper(i) = -h * jacobian_.upper(i);
-            m.lower(i) = -h * jacobian_.lower(i);
+            m.upper(i) = -c * jacobian_.upper(i);
+            m.lower(i) = -c * jacobian_.lower(i);
         }
         if (dynamicStack()) {
-            m.borderCol(i) = -h * jacobian_.borderCol(i);
-            m.borderRow(i) = -h * jacobian_.borderRow(i);
+            m.borderCol(i) = -c * jacobian_.borderCol(i);
+            m.borderRow(i) = -c * jacobian_.borderRow(i);
         }
     }
     if (dynamicStack())
-        m.corner() = 1.0 - h * jacobian_.corner();
+        m.corner() = 1.0 - c * jacobian_.corner();
 
     Result<BandedFactorization> factor =
         BandedFactorization::tryFactor(std::move(m));
     if (!factor.ok()) {
-        step_factor_.reset();
-        factored_dt_ = 0.0;
-        return Status::failure(
-            factor.error().code,
-            "implicit stepping operator: " + factor.error().message);
+        error = Error{factor.error().code,
+                      "TR-BDF2 operator: " + factor.error().message};
+        return nullptr;
     }
-    step_factor_ = std::make_unique<BandedFactorization>(
-        factor.takeValue());
-    factored_dt_ = dt;
-    return Status();
+    if (rung >= rung_factors_.size())
+        rung_factors_.resize(rung + 1);
+    rung_factors_[rung] =
+        std::make_unique<BandedFactorization>(factor.takeValue());
+    return rung_factors_[rung].get();
 }
 
 IntegrationReport
 ThermalNetwork::integrateInterval(const std::vector<double> &power,
                                   double duration)
 {
+    IntegrationReport report;
     if (config_.solver == ThermalSolver::Rk4) {
         auto deriv = [this, &power](double,
                                     const std::vector<double> &y,
                                     std::vector<double> &dydt) {
             derivative(y, dydt, power);
         };
-        return solver_.integrateChecked(
+        report = solver_.integrateChecked(
             deriv, 0.0, duration, dt_, state_,
             config_.max_integration_retries);
+    } else {
+        // The ladder restarts at one full-interval step every call,
+        // so the steps depend only on (state, power, duration); the
+        // rung cache only saves refactoring across equal intervals.
+        buildForcing(power);
+        auto factor_for = [this, duration](unsigned rung,
+                                           Error &error) {
+            return rungFactor(duration, rung, error);
+        };
+        auto apply = [this](const std::vector<double> &y,
+                            std::vector<double> &ay) {
+            jacobian_.multiply(y, ay);
+        };
+        report = trbdf2_.integrate(factor_for, apply, forcing_,
+                                   duration, kStepTolerance, state_);
     }
-
-    // Implicit path: the step derives from the horizon, not from
-    // stiffness — one factorization per distinct step width, reused
-    // across the equal-length intervals a trace replay produces.
-    const unsigned steps = config_.implicit_steps;
-    const double dt = duration / static_cast<double>(steps);
-    IntegrationReport report;
-    Status prepared = prepareImplicit(dt);
-    if (!prepared.ok()) {
-        report.ok = false;
-        report.error = prepared.error();
-        return report;
-    }
-    buildForcing(power);
-    auto apply = [this](const std::vector<double> &y,
-                        std::vector<double> &ay) {
-        jacobian_.multiply(y, ay);
-    };
-    return implicit_.integrateChecked(
-        implicitMethodFor(config_.solver), *step_factor_, apply,
-        forcing_, dt, steps, state_);
+    step_counts_.accepted += report.steps;
+    step_counts_.rejected += report.retries;
+    return report;
 }
 
 double

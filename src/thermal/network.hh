@@ -10,16 +10,17 @@
  * in StackMode::Dynamic, one dense row/column for the shared stack
  * node — exactly la/banded's bordered form.
  *
- * Three integrators step it (ThermalConfig::solver; docs/THERMAL.md):
+ * Two integrators step it (ThermalConfig::solver; docs/THERMAL.md):
  *
- *  - ThermalSolver::Rk4 — classical RK4, the method the paper uses
- *    and the oracle default. Explicit, so the step width is bounded
- *    by the stiffest wire time constant regardless of the horizon.
- *  - ThermalSolver::BackwardEuler / ::Trapezoidal — implicit
- *    steppers over the pre-factored banded operator I - c·dt·A; the
- *    step width derives from the *interval length* (duration /
- *    implicit_steps), not from stiffness, which is what makes
+ *  - ThermalSolver::TrBdf2 — the default: L-stable, second-order
+ *    TR-BDF2 over the pre-factored banded operator I - (γh/2)·A,
+ *    error-controlled to kStepTolerance. Step widths come from the
+ *    dyadic ladder duration / 2^k, so a quiet interval costs one or
+ *    two steps however stiff the network, which is what makes
  *    full-width 10k-wire buses steppable (bench/perf_thermal).
+ *  - ThermalSolver::Rk4 — classical RK4, the method the paper uses
+ *    and the test oracle. Explicit, so the step width is bounded by
+ *    the stiffest wire time constant regardless of the horizon.
  *
  * The reference the wires sink heat into is configurable:
  *  - StackMode::None    — the constant ambient theta_0 (Eqs 3-4
@@ -101,24 +102,21 @@ enum class StackMode {
  *
  *  - Rk4: the paper's method and the equivalence oracle. Cost per
  *    interval grows with interval / (0.2 τ_min) — stiffness-bound.
- *  - BackwardEuler: L-stable first-order implicit; the robust choice
- *    when the step spans many wire time constants (wide buses, long
- *    intervals). Cost per interval: implicit_steps O(width) solves.
- *  - Trapezoidal: A-stable second-order implicit (Crank-Nicolson);
- *    more accurate per step, mildly oscillatory on modes far stiffer
- *    than the step. Same cost shape as BackwardEuler.
+ *  - TrBdf2: L-stable second-order implicit with local-error control
+ *    (ThermalNetwork::kStepTolerance). Cost per interval: three
+ *    O(width) solves per accepted or rejected step, and the step
+ *    count follows the transient, not the stiffness.
  */
 enum class ThermalSolver {
     Rk4,
-    BackwardEuler,
-    Trapezoidal,
+    TrBdf2,
 };
 
-/** Readable solver name ("rk4" / "backward-euler" / "trapezoidal"). */
+/** Readable solver name ("rk4" / "tr-bdf2"). */
 const char *thermalSolverName(ThermalSolver solver);
 
 /** Parse a solver name as accepted by bench --solver flags: "rk4",
- *  "be"/"backward-euler", "cn"/"trapezoidal". */
+ *  "tr-bdf2"/"trbdf2". */
 std::optional<ThermalSolver> parseThermalSolver(
     const std::string &name);
 
@@ -138,18 +136,9 @@ struct ThermalConfig
     KelvinMetersPerWatt stack_resistance{0.05};
     /** Stack time constant (Dynamic mode); sets the Fig 4 ramp. */
     Seconds stack_time_constant{0.020};
-    /** Integrator stepping the network. Rk4 is the paper-faithful
-     *  oracle default; the implicit solvers are the fast path for
-     *  wide buses (see ThermalSolver). */
-    ThermalSolver solver = ThermalSolver::Rk4;
-    /**
-     * Steps each advance() takes with an implicit solver: the step
-     * width is duration / implicit_steps — derived from the horizon
-     * the caller asks for, not from network stiffness. Both implicit
-     * methods are A-stable, so this is purely an accuracy knob
-     * (docs/THERMAL.md §3); must be >= 1. Ignored by Rk4.
-     */
-    unsigned implicit_steps = 4;
+    /** Integrator stepping the network. TrBdf2 is the default;
+     *  Rk4 is the paper-faithful oracle (see ThermalSolver). */
+    ThermalSolver solver = ThermalSolver::TrBdf2;
     /**
      * RK4 step ceiling; 0 = derive from network stiffness as
      * 0.2 τ_min (τ_min the fastest node time constant). Gershgorin
@@ -159,7 +148,7 @@ struct ThermalConfig
      * asserted in the constructor and revalidated by reset().
      * A *user-supplied* ceiling is taken as-is (tests deliberately
      * exceed the bound to exercise the divergence guard). Ignored
-     * by the implicit solvers.
+     * by TrBdf2.
      */
     Seconds max_dt;
     /**
@@ -170,7 +159,7 @@ struct ThermalConfig
      * but catches numerical blow-ups early. 0 disables the check.
      */
     Kelvin temperature_ceiling{1000.0};
-    /** Step-halving budget for the checked integration. */
+    /** RK4 step-halving budget for the checked integration. */
     unsigned max_integration_retries = 12;
     /**
      * Consecutive advanceChecked() calls with the peak temperature
@@ -185,6 +174,25 @@ struct ThermalConfig
 class ThermalNetwork
 {
   public:
+    /**
+     * TR-BDF2 local-error tolerance [K]: the max-norm over all nodes
+     * of every accepted step's filtered error estimate. A constant,
+     * not a knob: it holds the end-to-end deviation from the RK4
+     * oracle well under a millikelvin (docs/THERMAL.md §3).
+     */
+    static constexpr double kStepTolerance = 1e-4;
+
+    /** Integration steps taken since construction (diagnostics; not
+     *  part of the snapshot state). */
+    struct StepCounts
+    {
+        /** Accepted steps. */
+        uint64_t accepted = 0;
+        /** Rejected steps: TR-BDF2 error-test failures, or RK4
+         *  halvings after a non-finite state. */
+        uint64_t rejected = 0;
+    };
+
     /**
      * @param tech Technology node (geometry + dielectric).
      * @param num_wires Bus width (>= 1).
@@ -229,8 +237,8 @@ class ThermalNetwork
                  Seconds duration);
 
     /**
-     * Numerically guarded advance(): integrates with
-     * Rk4Solver::integrateChecked, then applies the thermal-runaway
+     * Numerically guarded advance(): integrates with the configured
+     * solver's checked path, then applies the thermal-runaway
      * guards (non-finite containment, temperature ceiling, monotonic
      * divergence versus the steady-state bound). Any anomaly clamps
      * the offending state and is returned as a ThermalFault; the
@@ -249,13 +257,15 @@ class ThermalNetwork
         const std::vector<double> &power_per_metre) const;
 
     /** The RK4 step width in use (stability-derived or the
-     *  max_dt override; see ThermalConfig::max_dt). The implicit
-     *  solvers ignore it — their step is duration / implicit_steps
-     *  per advance() call. */
+     *  max_dt override; see ThermalConfig::max_dt). TrBdf2 ignores
+     *  it — its steps come from the error-controlled ladder. */
     Seconds stepWidth() const { return Seconds{dt_}; }
 
     /** The integrator in use. */
     ThermalSolver solver() const { return config_.solver; }
+
+    /** Steps taken so far by either solver. */
+    const StepCounts &stepCounts() const { return step_counts_; }
 
     /**
      * The network Jacobian A of dθ/dt = A θ + b, assembled once at
@@ -317,10 +327,11 @@ class ThermalNetwork
     /** Fill forcing_ with b for the given per-wire power [W/m]. */
     void buildForcing(const std::vector<double> &power);
 
-    /** Factor the implicit stepping operator I - c·dt·A for the
-     *  given step width, reusing the cached factorization when dt
-     *  is unchanged (the common case: equal-length intervals). */
-    [[nodiscard]] Status prepareImplicit(double dt);
+    /** The factored TR-BDF2 operator I - (γh/2)·A for
+     *  h = duration / 2^rung, from the rung cache (rebuilt when the
+     *  duration changes); null with `error` filled on failure. */
+    const BandedFactorization *rungFactor(double duration,
+                                          unsigned rung, Error &error);
 
     /** Shared integration dispatch for advance()/advanceChecked():
      *  steps state_ by `duration` under `power` with the configured
@@ -342,13 +353,16 @@ class ThermalNetwork
     std::vector<double> state_;  // wires, then optional stack node
     Rk4Solver solver_;
 
-    /** Structured system for the implicit path and steadyState():
-     *  assembled once, factored per distinct step width. */
+    /** Structured system for TR-BDF2 and steadyState(): assembled
+     *  once, factored per ladder rung. */
     BandedMatrix jacobian_;
     std::vector<double> forcing_;
-    ImplicitLinearSolver<BandedFactorization> implicit_;
-    std::unique_ptr<BandedFactorization> step_factor_;
-    double factored_dt_ = 0.0;
+    TrBdf2Solver<BandedFactorization> trbdf2_;
+    /** rung_factors_[k] factors the operator for duration / 2^k;
+     *  null until first used. Valid for rung_duration_ only. */
+    std::vector<std::unique_ptr<BandedFactorization>> rung_factors_;
+    double rung_duration_ = 0.0;
+    StepCounts step_counts_;
 
     // Divergence tracking across advanceChecked() calls.
     double last_max_temp_ = 0.0;

@@ -35,8 +35,9 @@ namespace nanobus {
 
 /** Snapshot container format version (bump on wire changes).
  *  v2: transition-kernel tag in the bus identity guard + the packed
- *  kernel's integer count payload (fabric/bus_snapshot.cc). */
-constexpr uint32_t kSnapshotFormatVersion = 2;
+ *  kernel's integer count payload (fabric/bus_snapshot.cc).
+ *  v3: thermal-solver tag in the bus identity guard. */
+constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /** CRC-32 (IEEE 802.3, reflected) of `size` bytes, continuing from
  *  `seed` (pass the previous return value to checksum in chunks). */

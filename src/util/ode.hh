@@ -9,18 +9,17 @@
  *    explicit, its stable step is bounded by the *stiffest* time
  *    constant in the system, however short the caller's horizon.
  *
- *  - ImplicitLinearSolver — backward-Euler and trapezoidal
- *    (Crank-Nicolson) one-step methods for *linear* systems
- *    dy/dt = A y + b. Both are A-stable: the step width is chosen
- *    for accuracy (from the interval length), not stability, so a
- *    stiff network can be stepped in a handful of solves per
- *    interval. The caller pre-factors the stepping operator
- *    (I - c·dt·A) once and reuses it across every step that shares
- *    dt — for the thermal network that is one factorization per
- *    interval length (docs/THERMAL.md).
+ *  - TrBdf2Solver — the L-stable, second-order TR-BDF2 method for
+ *    *linear* systems dy/dt = A y + b, with an embedded local-error
+ *    estimate choosing the step widths from a dyadic ladder
+ *    duration / 2^k. Stability never bounds the step; accuracy does,
+ *    so a stiff network crosses a quiet interval in one or two
+ *    steps. Every stage solves with the same operator I − (γh/2)·A,
+ *    which the caller factors once per rung and reuses across steps
+ *    and intervals (docs/THERMAL.md §3).
  *
  * The linear algebra is injected as a template parameter (a Factor
- * providing solve()/trySolve(), e.g. la's BandedFactorization), so
+ * providing trySolveInPlace(), e.g. la's BandedFactorization), so
  * this layer-0 header depends on nothing above util.
  *
  * Both families own their workspace: repeated stepping performs no
@@ -34,6 +33,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -45,13 +46,14 @@ namespace nanobus {
 
 /**
  * Outcome of a checked integration (Rk4Solver::integrateChecked and
- * ImplicitLinearSolver::integrateChecked share this taxonomy).
+ * TrBdf2Solver::integrate share this taxonomy).
  *
- * `ok` is false only when no finite state could be produced (for RK4,
- * after exhausting the retry budget; for the implicit methods, when a
- * linear solve fails or returns non-finite values); the state vector
- * is then left at the last finite value reached and `completed_time`
- * tells how far the integration got.
+ * `ok` is false only when no acceptable state could be produced (for
+ * RK4, after exhausting the retry budget; for TR-BDF2, when a
+ * factorization or linear solve fails, or the error test fails even
+ * at the smallest step); the state vector is then left at the last
+ * accepted value and `completed_time` tells how far the integration
+ * got.
  */
 struct IntegrationReport
 {
@@ -59,8 +61,8 @@ struct IntegrationReport
     bool ok = true;
     /** Accepted steps. */
     size_t steps = 0;
-    /** Step halvings after a non-finite state was detected (RK4
-     *  only; the A-stable implicit methods never retry). */
+    /** Rejected steps: RK4 halvings after a non-finite state, or
+     *  TR-BDF2 steps that failed the local-error test. */
     size_t retries = 0;
     /** Largest |dy_i/dt| observed at an accepted step start — a
      *  residual proxy: large values flag stiffness trouble even when
@@ -133,190 +135,197 @@ class Rk4Solver
     std::vector<double> backup_;
 };
 
-/** One-step implicit method for linear systems (A-stable). */
-enum class ImplicitMethod {
-    /** y_{k+1} = y_k + dt (A y_{k+1} + b). First order, L-stable:
-     *  stiff transients are damped, never aliased — the robust
-     *  choice when dt spans many fast time constants. */
-    BackwardEuler,
-    /** Crank-Nicolson: trapezoidal average of both endpoints.
-     *  Second order, A-stable but not L-stable (stiff modes decay as
-     *  (2-z)/(2+z) -> -1, so a step spanning many fast time
-     *  constants *aliases* them instead of damping them). The
-     *  stepper therefore applies Rannacher startup: the first step
-     *  of every horizon is taken as two backward-Euler half-steps —
-     *  which reuse the very same factored operator I - (dt/2) A —
-     *  crushing stiff content by ~1/z^2 before the trapezoidal steps
-     *  take over. Second-order global accuracy is preserved. */
-    Trapezoidal,
-};
-
-/** Readable method name ("backward-euler" / "trapezoidal"). */
-constexpr const char *
-implicitMethodName(ImplicitMethod method)
-{
-    return method == ImplicitMethod::BackwardEuler ? "backward-euler"
-                                                   : "trapezoidal";
-}
-
 /**
- * Coefficient c of the stepping operator M = I - c·dt·A the caller
- * must factor for a given method (1 for backward Euler, 1/2 for
- * trapezoidal).
- */
-constexpr double
-implicitOperatorCoefficient(ImplicitMethod method)
-{
-    return method == ImplicitMethod::BackwardEuler ? 1.0 : 0.5;
-}
-
-/**
- * Implicit stepper for the constant-coefficient linear system
- * dy/dt = A y + b over one horizon of equal steps.
+ * TR-BDF2 (Bank et al. 1985) with γ = 2 − √2 for the
+ * constant-coefficient linear system dy/dt = A y + b, error-controlled
+ * over a dyadic step ladder.
  *
- * The caller owns the structure: A is applied through a borrowed
- * matvec callback and the stepping operator M = I - c·dt·A
- * (c = implicitOperatorCoefficient) arrives *pre-factored* as a
- * `Factor` — any type with `solve(const std::vector<double>&)` and
- * `trySolve(...)` returning Result (la's BandedFactorization or
- * LuFactorization both qualify). Factoring once per (A, dt) pair and
- * reusing it across steps — and across calls — is the entire point:
- * each step then costs one O(band) solve.
+ * One step of width h is a trapezoidal stage to t + γh followed by a
+ * BDF2 stage to t + h. With this γ both stages solve with the same
+ * operator M = I − (γh/2) A, and so does the Hosea–Shampine (1996)
+ * local-error estimate, which is filtered through M⁻¹ to stay bounded
+ * on stiff modes. The method is L-stable (stiff modes are damped,
+ * never aliased) and second order.
  *
- * Contract: `factor` MUST be the factorization of I - c·dt·A for
- * exactly the `dt` and `method` passed alongside it; the stepper has
- * no way to verify this. ThermalNetwork derives both from the same
- * cached assembly (src/thermal/network.cc).
+ * integrate() picks the step widths: h = duration / 2^k on rung k of
+ * a dyadic ladder. Every call starts at k = 0; a step whose max-norm
+ * estimate exceeds the tolerance is rejected and retried at k + 1
+ * (h halves); after an accepted step whose estimate is below
+ * tolerance / 8 the ladder moves to k − 1 (h doubles) when the step
+ * ended on that coarser grid. The step sequence therefore depends
+ * only on (y, b, duration), never on earlier calls.
+ *
+ * The linear algebra is the caller's: A is applied through a borrowed
+ * matvec callback and M arrives pre-factored, one `Factor` per rung
+ * (any type with `trySolveInPlace(std::vector<double>&) -> Status`,
+ * e.g. la's BandedFactorization). Factoring once per (A, h) pair and
+ * reusing it across steps and calls is what makes a step cost three
+ * O(band) solves.
  */
 template <class Factor>
-class ImplicitLinearSolver
+class TrBdf2Solver
 {
   public:
+    /** γ = 2 − √2: the one value at which both stages share M. */
+    static constexpr double kGamma = 2.0 - std::numbers::sqrt2;
+    /** c in M = I − c·h·A (c = γ/2). */
+    static constexpr double kOperatorScale = 0.5 * kGamma;
+    /** Deepest rung of the ladder: h >= duration / 2^kMaxRung. */
+    static constexpr unsigned kMaxRung = 30;
+
     /** Matvec callback: fills `ay` (already sized) with A·y. */
     using ApplyMatrix = FunctionRef<void(
         const std::vector<double> &y, std::vector<double> &ay)>;
+    /** The factorization of M for h = duration / 2^rung, or null
+     *  with `error` filled when it cannot be built. */
+    using RungFactor =
+        FunctionRef<const Factor *(unsigned rung, Error &error)>;
 
     /** @param dimension Size of the state vector. */
-    explicit ImplicitLinearSolver(size_t dimension)
-        : rhs_(dimension), ay_(dimension)
+    explicit TrBdf2Solver(size_t dimension)
+        : f_(dimension), stage_(dimension), next_(dimension),
+          estimate_(dimension)
     {
     }
 
     /** State vector dimension. */
-    size_t dimension() const { return rhs_.size(); }
+    size_t dimension() const { return f_.size(); }
 
     /**
-     * Advance `y` in place by `steps` equal steps of width dt.
-     *
-     * Backward Euler solves M y_{k+1} = y_k + dt b; trapezoidal
-     * solves M y_{k+1} = y_k + (dt/2) A y_k + dt b, taking its first
-     * step as two backward-Euler half-steps (Rannacher startup; see
-     * ImplicitMethod::Trapezoidal) through the same operator. Both
-     * methods are exactly fixed-point-preserving: at the steady
-     * state A y + b = 0 the iteration is stationary regardless of dt.
+     * Advance `y` by `duration` under the ladder controller, holding
+     * every accepted step's local-error estimate to `tolerance`
+     * (max-norm, y's unit). Factorization or solve failures, and a
+     * step that misses the tolerance even at kMaxRung, end the call
+     * with `ok == false`, leaving `y` at the last accepted step.
+     * `retries` counts rejected steps. An infinite tolerance takes
+     * exactly one step of width `duration`.
      */
-    void integrate(ImplicitMethod method, const Factor &factor,
-                   ApplyMatrix apply, const std::vector<double> &b,
-                   double dt, size_t steps, std::vector<double> &y)
-    {
-        IntegrationReport report =
-            run<false>(method, factor, apply, b, dt, steps, y);
-        if (!report.ok)
-            fatal("ImplicitLinearSolver: %s",
-                  report.error.message.c_str());
-    }
-
-    /**
-     * Checked integrate(): linear-solve failures and non-finite
-     * states are reported through the IntegrationReport taxonomy
-     * instead of terminating, leaving `y` at the last finite state
-     * reached. There is no step-halving (`retries` stays 0): both
-     * methods are A-stable, so a failure here means the operator or
-     * the inputs are bad, and a narrower step would not help.
-     */
-    [[nodiscard]] IntegrationReport integrateChecked(
-        ImplicitMethod method, const Factor &factor, ApplyMatrix apply,
-        const std::vector<double> &b, double dt, size_t steps,
+    [[nodiscard]] IntegrationReport integrate(
+        RungFactor factor_for, ApplyMatrix apply,
+        const std::vector<double> &b, double duration, double tolerance,
         std::vector<double> &y)
     {
-        return run<true>(method, factor, apply, b, dt, steps, y);
-    }
-
-  private:
-    template <bool Checked>
-    IntegrationReport run(ImplicitMethod method, const Factor &factor,
-                          ApplyMatrix apply,
-                          const std::vector<double> &b, double dt,
-                          size_t steps, std::vector<double> &y)
-    {
         IntegrationReport report;
-        const size_t n = dimension();
-        if (y.size() != n || b.size() != n) {
+        auto fail = [&report](Error error) {
             report.ok = false;
-            report.error = Error{
-                ErrorCode::InvalidArgument,
-                "state/forcing size != dimension " +
-                    std::to_string(n)};
+            report.error = std::move(error);
             return report;
-        }
-        if (!(dt > 0.0) || !std::isfinite(dt)) {
-            report.ok = false;
-            report.error = Error{ErrorCode::InvalidArgument,
-                                 "dt must be positive and finite"};
-            return report;
-        }
-        const bool trapezoidal = method == ImplicitMethod::Trapezoidal;
-
-        // One sub-step: build the right-hand side for an effective
-        // step h (h = dt for full steps, dt/2 for the Rannacher
-        // halves, where `cn` selects the trapezoidal average) and
-        // solve through the pre-factored operator.
-        auto substep = [&](double h, bool cn) -> bool {
-            apply(y, ay_);
-            for (size_t i = 0; i < n; ++i) {
-                const double dydt = ay_[i] + b[i];
-                report.max_derivative = std::max(
-                    report.max_derivative, std::fabs(dydt));
-                rhs_[i] = cn ? y[i] + 0.5 * h * ay_[i] + h * b[i]
-                             : y[i] + h * b[i];
-            }
-            if constexpr (Checked) {
-                Result<std::vector<double>> next =
-                    factor.trySolve(rhs_);
-                if (!next.ok()) {
-                    report.ok = false;
-                    report.error = next.error();
-                    return false;
-                }
-                y = next.value();
-            } else {
-                y = factor.solve(rhs_);
-            }
-            report.completed_time += h;
-            return true;
         };
+        if (y.size() != dimension() || b.size() != dimension())
+            return fail(Error{ErrorCode::InvalidArgument,
+                              "state/forcing size != dimension " +
+                                  std::to_string(dimension())});
+        if (!(duration > 0.0) || !std::isfinite(duration))
+            return fail(Error{ErrorCode::InvalidArgument,
+                              "duration must be positive and finite"});
+        if (!(tolerance > 0.0))
+            return fail(Error{ErrorCode::InvalidArgument,
+                              "tolerance must be positive"});
 
-        size_t k = 0;
-        if (trapezoidal && steps > 0) {
-            // Rannacher startup (see ImplicitMethod::Trapezoidal):
-            // the first step is two backward-Euler half-steps; the
-            // operator of BE at dt/2 is I - (dt/2) A — identical to
-            // the trapezoidal operator, so `factor` is reused as-is.
-            if (!substep(0.5 * dt, false) || !substep(0.5 * dt, false))
-                return report;
+        unsigned rung = 0;
+        uint64_t done = 0;  // accepted steps of width duration / 2^rung
+        while (done < (uint64_t{1} << rung)) {
+            const double h = std::ldexp(duration, -static_cast<int>(rung));
+            Error error;
+            const Factor *factor = factor_for(rung, error);
+            if (!factor)
+                return fail(std::move(error));
+            double error_norm = 0.0;
+            Status status =
+                attempt(*factor, apply, b, h, y, error_norm, report);
+            if (!status.ok())
+                return fail(status.error());
+            if (error_norm > tolerance) {
+                if (rung == kMaxRung)
+                    return fail(Error{
+                        ErrorCode::BudgetExhausted,
+                        "local error " + std::to_string(error_norm) +
+                            " above tolerance at the smallest step"});
+                ++rung;
+                done *= 2;
+                ++report.retries;
+                continue;
+            }
+            y.swap(next_);
+            ++done;
             ++report.steps;
-            k = 1;
-        }
-        for (; k < steps; ++k) {
-            if (!substep(dt, trapezoidal))
-                return report;
-            ++report.steps;
+            report.completed_time =
+                duration * std::ldexp(static_cast<double>(done),
+                                      -static_cast<int>(rung));
+            if (error_norm < tolerance / 8.0 && rung > 0 &&
+                done % 2 == 0) {
+                --rung;
+                done /= 2;
+            }
         }
         return report;
     }
 
-    std::vector<double> rhs_;
-    std::vector<double> ay_;
+  private:
+    /** w = 1 / (γ(2 − γ)): the BDF2 stage's weight on y_γ. */
+    static constexpr double kStageWeight =
+        1.0 / (kGamma * (2.0 - kGamma));
+
+    /**
+     * Take one step from `y` into next_ and estimate its local error.
+     * With f = A y + b, d = γ/2 and M = I − d h A:
+     *
+     *     M y_γ     = y + d h (f_n + b)                (trapezoidal)
+     *     M y_{n+1} = w y_γ + (1 − w) y + d h b         (BDF2)
+     *     M e       = (h/3) ((1 − γ) f_n − f_γ + γ f_{n+1})
+     *
+     * f_γ and f_{n+1} follow from the stage equations, so the only
+     * matvec is f_n.
+     */
+    Status attempt(const Factor &factor, ApplyMatrix apply,
+                   const std::vector<double> &b, double h,
+                   const std::vector<double> &y, double &error_norm,
+                   IntegrationReport &report)
+    {
+        const size_t n = dimension();
+        const double dh = kOperatorScale * h;
+
+        apply(y, f_);
+        for (size_t i = 0; i < n; ++i) {
+            f_[i] += b[i];
+            report.max_derivative =
+                std::max(report.max_derivative, std::fabs(f_[i]));
+            stage_[i] = y[i] + dh * (f_[i] + b[i]);
+        }
+        if (Status s = factor.trySolveInPlace(stage_); !s.ok())
+            return s;
+
+        for (size_t i = 0; i < n; ++i)
+            next_[i] = kStageWeight * stage_[i] +
+                (1.0 - kStageWeight) * y[i] + dh * b[i];
+        if (Status s = factor.trySolveInPlace(next_); !s.ok())
+            return s;
+
+        const double third = h / 3.0;
+        const double inv_dh = 1.0 / dh;
+        for (size_t i = 0; i < n; ++i) {
+            // First stage: y_γ = y + d h (f_n + f_γ).
+            const double f_stage = (stage_[i] - y[i]) * inv_dh - f_[i];
+            // Second stage: y_{n+1} = w y_γ + (1 - w) y + d h f_{n+1}.
+            const double f_end =
+                (next_[i] - kStageWeight * stage_[i] -
+                 (1.0 - kStageWeight) * y[i]) * inv_dh;
+            estimate_[i] = third * ((1.0 - kGamma) * f_[i] - f_stage +
+                                    kGamma * f_end);
+        }
+        if (Status s = factor.trySolveInPlace(estimate_); !s.ok())
+            return s;
+
+        error_norm = 0.0;
+        for (double e : estimate_)
+            error_norm = std::max(error_norm, std::fabs(e));
+        return Status();
+    }
+
+    std::vector<double> f_;         // f_n = A y + b at the step start
+    std::vector<double> stage_;     // y_γ
+    std::vector<double> next_;      // y_{n+1}
+    std::vector<double> estimate_;  // filtered local error
 };
 
 } // namespace nanobus

@@ -360,6 +360,30 @@ TEST_F(SnapshotTest, SchemeMismatchIsInvalidArgument)
     EXPECT_EQ(loaded.error().code, ErrorCode::InvalidArgument);
 }
 
+TEST_F(SnapshotTest, ThermalSolverMismatchIsInvalidArgument)
+{
+    // A checkpoint taken under the RK4 oracle must not resume under
+    // TR-BDF2: the resumed run would silently mix integrators.
+    BusSimConfig rk4 = simConfig(EncodingScheme::BusInvert);
+    rk4.thermal.solver = ThermalSolver::Rk4;
+    TwinBusSimulator saved(tech130, rk4);
+    ASSERT_TRUE(
+        saveTwinCheckpoint(ckpt_, saved, SimCheckpoint{}).ok());
+
+    BusSimConfig trbdf2 = rk4;
+    trbdf2.thermal.solver = ThermalSolver::TrBdf2;
+    TwinBusSimulator other(tech130, trbdf2);
+    Result<SimCheckpoint> loaded = loadTwinCheckpoint(ckpt_, other);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::InvalidArgument);
+    EXPECT_NE(loaded.error().message.find("'rk4' thermal solver"),
+              std::string::npos)
+        << loaded.error().message;
+
+    TwinBusSimulator same(tech130, rk4);
+    EXPECT_TRUE(loadTwinCheckpoint(ckpt_, same).ok());
+}
+
 TEST_F(SnapshotTest, TrailingBytesAreParseError)
 {
     TwinBusSimulator twin(tech130,

@@ -1,7 +1,7 @@
 /**
  * @file
- * Implicit-solver path of ThermalNetwork (ISSUE 9): solver selection,
- * Jacobian assembly, implicit-vs-RK4-vs-steadyState equivalence, the
+ * Implicit (TR-BDF2) path of ThermalNetwork: solver selection,
+ * Jacobian assembly, TR-BDF2-vs-RK4-vs-steadyState equivalence, the
  * advanceChecked fault semantics on the implicit path, and the
  * stability-bound/reset contracts.
  */
@@ -34,17 +34,16 @@ solverConfig(ThermalSolver solver, StackMode stack = StackMode::None)
 TEST(ThermalSolverSelect, NamesRoundTrip)
 {
     EXPECT_STREQ(thermalSolverName(ThermalSolver::Rk4), "rk4");
-    EXPECT_STREQ(thermalSolverName(ThermalSolver::BackwardEuler),
-                 "backward-euler");
-    EXPECT_STREQ(thermalSolverName(ThermalSolver::Trapezoidal),
-                 "trapezoidal");
-    for (ThermalSolver s : {ThermalSolver::Rk4,
-                            ThermalSolver::BackwardEuler,
-                            ThermalSolver::Trapezoidal})
+    EXPECT_STREQ(thermalSolverName(ThermalSolver::TrBdf2), "tr-bdf2");
+    for (ThermalSolver s : {ThermalSolver::Rk4, ThermalSolver::TrBdf2})
         EXPECT_EQ(parseThermalSolver(thermalSolverName(s)), s);
-    EXPECT_EQ(parseThermalSolver("be"), ThermalSolver::BackwardEuler);
-    EXPECT_EQ(parseThermalSolver("cn"), ThermalSolver::Trapezoidal);
-    EXPECT_FALSE(parseThermalSolver("euler").has_value());
+    EXPECT_EQ(parseThermalSolver("trbdf2"), ThermalSolver::TrBdf2);
+    // The retired methods' names are usage errors now.
+    for (const char *retired : {"be", "cn", "backward-euler",
+                                "trapezoidal", "euler"})
+        EXPECT_FALSE(parseThermalSolver(retired).has_value())
+            << retired;
+    EXPECT_EQ(ThermalConfig().solver, ThermalSolver::TrBdf2);
 }
 
 TEST(ThermalSolverSelect, ConfigSelectsSolver)
@@ -52,10 +51,10 @@ TEST(ThermalSolverSelect, ConfigSelectsSolver)
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
     ThermalNetwork rk4(tech, 4,
                        solverConfig(ThermalSolver::Rk4));
-    ThermalNetwork be(tech, 4,
-                      solverConfig(ThermalSolver::BackwardEuler));
+    ThermalNetwork trbdf2(tech, 4,
+                          solverConfig(ThermalSolver::TrBdf2));
     EXPECT_EQ(rk4.solver(), ThermalSolver::Rk4);
-    EXPECT_EQ(be.solver(), ThermalSolver::BackwardEuler);
+    EXPECT_EQ(trbdf2.solver(), ThermalSolver::TrBdf2);
 }
 
 // The assembled Jacobian must reproduce the dynamics derivative()
@@ -69,8 +68,7 @@ TEST(ThermalSolverSelect, JacobianReproducesDynamicsFromSkewedState)
     for (StackMode mode : {StackMode::None, StackMode::Static,
                            StackMode::Dynamic}) {
         ThermalConfig config =
-            solverConfig(ThermalSolver::Trapezoidal, mode);
-        config.implicit_steps = 256;  // resolve the wire dynamics
+            solverConfig(ThermalSolver::TrBdf2, mode);
         const unsigned width = 6;
         ThermalNetwork net(tech, width, config);
         const BandedMatrix &a = net.jacobian();
@@ -107,9 +105,9 @@ TEST(ThermalSolverSelect, JacobianReproducesDynamicsFromSkewedState)
     }
 }
 
-// Tentpole equivalence gate (mirrored in bench/perf_thermal): both
-// implicit methods land on the same steady state as the RK4 oracle
-// and as the direct conductance solve, within 1e-6 K relative.
+// Equivalence gate (mirrored in bench/perf_thermal): TR-BDF2 lands
+// on the same steady state as the RK4 oracle and as the direct
+// conductance solve, within 1e-6 K relative.
 TEST(ThermalSolverSelect, ImplicitSteadyStateMatchesRk4AndDirect)
 {
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
@@ -122,8 +120,7 @@ TEST(ThermalSolverSelect, ImplicitSteadyStateMatchesRk4AndDirect)
 
         std::vector<std::vector<double>> finals;
         for (ThermalSolver s : {ThermalSolver::Rk4,
-                                ThermalSolver::BackwardEuler,
-                                ThermalSolver::Trapezoidal}) {
+                                ThermalSolver::TrBdf2}) {
             ThermalConfig config = solverConfig(s, mode);
             ThermalNetwork net(tech, 5, config);
             net.reset(Kelvin{ambient});
@@ -147,9 +144,9 @@ TEST(ThermalSolverSelect, ImplicitSteadyStateMatchesRk4AndDirect)
     }
 }
 
-// Transient (not just steady-state) agreement: over a horizon
-// resolving the wire dynamics, trapezoidal tracks the RK4 oracle
-// closely and backward Euler tracks it to first order.
+// Transient (not just steady-state) agreement: over one wire time
+// constant from a cold start, error-controlled TR-BDF2 tracks the
+// RK4 oracle to within a few step tolerances.
 TEST(ThermalSolverSelect, ImplicitTransientTracksRk4)
 {
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
@@ -160,35 +157,32 @@ TEST(ThermalSolverSelect, ImplicitTransientTracksRk4)
             .timeConstant()
             .raw();
 
-    auto run = [&](ThermalSolver s, unsigned steps) {
-        ThermalConfig config = solverConfig(s);
-        config.implicit_steps = steps;
-        ThermalNetwork net(tech, 3, config);
+    auto run = [&](ThermalSolver s) {
+        ThermalNetwork net(tech, 3, solverConfig(s));
         net.reset(Kelvin{ambient});
         net.advance(power, Seconds{tau});  // mid-transient
         return net.temperatures();
     };
 
-    std::vector<double> rk4 = run(ThermalSolver::Rk4, 4);
-    std::vector<double> cn = run(ThermalSolver::Trapezoidal, 16);
-    std::vector<double> be = run(ThermalSolver::BackwardEuler, 16);
+    std::vector<double> rk4 = run(ThermalSolver::Rk4);
+    std::vector<double> trbdf2 = run(ThermalSolver::TrBdf2);
     const double rise = rk4[1] - ambient;
     ASSERT_GT(rise, 0.0);
     for (unsigned i = 0; i < 3; ++i) {
-        // Second-order CN tracks tightly at dt = tau/16; first-order
-        // BE carries an O(dt/tau) lag.
-        EXPECT_NEAR(cn[i], rk4[i], 0.01 * rise) << "wire " << i;
-        EXPECT_NEAR(be[i], rk4[i], 0.10 * rise) << "wire " << i;
+        EXPECT_NEAR(trbdf2[i], rk4[i],
+                    10.0 * ThermalNetwork::kStepTolerance)
+            << "wire " << i;
     }
 }
 
 TEST(ThermalSolverSelect, ImplicitAdvanceCheckedContainsSolveFault)
 {
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
-    ThermalConfig config = solverConfig(ThermalSolver::BackwardEuler);
+    ThermalConfig config = solverConfig(ThermalSolver::TrBdf2);
     ThermalNetwork net(tech, 3, config);
     net.reset(Kelvin{ambient});
 
+    // The second solve is the first step's BDF2 stage.
     FaultInjector::instance().reset();
     FaultInjector::instance().armCallFault(FaultSite::LuSolve, 2);
     std::vector<ThermalFault> faults =
@@ -207,7 +201,7 @@ TEST(ThermalSolverSelect, ImplicitAdvanceCheckedContainsSolveFault)
 TEST(ThermalSolverSelect, ImplicitAdvanceCheckedContainsFactorFault)
 {
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
-    ThermalConfig config = solverConfig(ThermalSolver::Trapezoidal);
+    ThermalConfig config = solverConfig(ThermalSolver::TrBdf2);
     ThermalNetwork net(tech, 3, config);
     net.reset(Kelvin{ambient});
 
@@ -273,7 +267,7 @@ TEST(ThermalSolverSelect, SnapshotRoundTripsOnImplicitPath)
 {
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
     ThermalConfig config =
-        solverConfig(ThermalSolver::BackwardEuler, StackMode::Dynamic);
+        solverConfig(ThermalSolver::TrBdf2, StackMode::Dynamic);
     ThermalNetwork a(tech, 4, config);
     a.reset(Kelvin{ambient});
     std::vector<double> power = {0.3, 0.1, 0.7, 0.2};

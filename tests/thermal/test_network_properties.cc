@@ -2,7 +2,10 @@
  * @file
  * Parameterized property tests of the thermal-RC network across
  * technology nodes and bus widths: linearity, superposition,
- * symmetry, and transient/steady-state agreement.
+ * symmetry, and transient/steady-state agreement. The transient
+ * property runs under both solvers (RK4 oracle, TR-BDF2 default) at
+ * one tolerance; the others exercise the direct steady-state solve,
+ * which no solver touches.
  */
 
 #include <gtest/gtest.h>
@@ -27,10 +30,11 @@ class ThermalProperty : public ::testing::TestWithParam<Param>
     unsigned wires() const { return std::get<1>(GetParam()); }
 
     ThermalConfig
-    config() const
+    config(ThermalSolver solver = ThermalConfig().solver) const
     {
         ThermalConfig c;
         c.stack_mode = StackMode::None;
+        c.solver = solver;
         return c;
     }
 };
@@ -94,17 +98,21 @@ TEST_P(ThermalProperty, MirrorSymmetry)
 
 TEST_P(ThermalProperty, TransientConvergesToSteadyState)
 {
-    ThermalNetwork net(tech(), wires(), config());
-    net.reset(Kelvin{318.15});
-    Rng rng(wires() * 11);
-    std::vector<double> power(wires());
-    for (auto &p : power)
-        p = rng.uniform(0.0, 1.0);
-    // >> any wire time constant at every node.
-    net.advance(power, 2000.0 * net.wireParams().timeConstant());
-    auto ss = net.steadyState(power);
-    for (unsigned i = 0; i < wires(); ++i)
-        EXPECT_NEAR(net.temperature(i).raw(), ss[i], 1e-4) << i;
+    for (ThermalSolver solver :
+         {ThermalSolver::Rk4, ThermalSolver::TrBdf2}) {
+        SCOPED_TRACE(thermalSolverName(solver));
+        ThermalNetwork net(tech(), wires(), config(solver));
+        net.reset(Kelvin{318.15});
+        Rng rng(wires() * 11);
+        std::vector<double> power(wires());
+        for (auto &p : power)
+            p = rng.uniform(0.0, 1.0);
+        // >> any wire time constant at every node.
+        net.advance(power, 2000.0 * net.wireParams().timeConstant());
+        auto ss = net.steadyState(power);
+        for (unsigned i = 0; i < wires(); ++i)
+            EXPECT_NEAR(net.temperature(i).raw(), ss[i], 1e-4) << i;
+    }
 }
 
 TEST_P(ThermalProperty, NoWireBelowAmbientUnderHeating)

@@ -1,9 +1,9 @@
 /**
  * @file
- * ImplicitLinearSolver tests: the analytic 2-node RC network pins all
- * three integrator families (RK4, backward Euler, trapezoidal)
- * against the closed-form solution, and the checked path exercises
- * the failure taxonomy.
+ * TrBdf2Solver tests: the analytic 2-node RC network pins both
+ * integrator families (RK4, TR-BDF2) against the closed-form
+ * solution, the ladder controller's error control and step
+ * bookkeeping, and the failure taxonomy.
  *
  * The 2-node system is dy/dt = A y + b with
  *
@@ -13,11 +13,16 @@
  * -(a + c)): the exact solution is available in closed form, so each
  * integrator's error — and its convergence *order* — can be measured
  * rather than eyeballed.
+ *
+ * With a = 3, c = 1 the error constant of one TR-BDF2 step over the
+ * unit horizon is large, so the controller must genuinely halve.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "la/banded.hh"
@@ -58,37 +63,74 @@ rcExact(const std::vector<double> &y0, const std::vector<double> &b,
     return {ss0 + 0.5 * (sum + dif), ss1 + 0.5 * (sum - dif)};
 }
 
-/** Factor I - c dt A for the given method and step. */
+using Solver = TrBdf2Solver<BandedFactorization>;
+
+const std::vector<double> kForcing = {2.0, 0.5};
+
+/** Factor the TR-BDF2 operator I - (γh/2) A for step width h. */
 BandedFactorization
-rcOperator(ImplicitMethod method, double dt)
+rcOperator(double h)
 {
-    const double h = implicitOperatorCoefficient(method) * dt;
+    const double c = Solver::kOperatorScale * h;
     BandedMatrix a = rcJacobian();
     BandedMatrix m = BandedMatrix::tridiagonal(2);
-    m.diag(0) = 1.0 - h * a.diag(0);
-    m.diag(1) = 1.0 - h * a.diag(1);
-    m.upper(0) = -h * a.upper(0);
-    m.lower(0) = -h * a.lower(0);
+    m.diag(0) = 1.0 - c * a.diag(0);
+    m.diag(1) = 1.0 - c * a.diag(1);
+    m.upper(0) = -c * a.upper(0);
+    m.lower(0) = -c * a.lower(0);
     return BandedFactorization(m);
 }
 
-double
-integrateError(ImplicitMethod method, size_t steps)
+/** Ladder integration with a per-rung factor cache, valid for one
+ *  duration at a time (as in ThermalNetwork). */
+struct Ladder
 {
-    const double horizon = 1.0;
-    const double dt = horizon / static_cast<double>(steps);
-    const std::vector<double> y0 = {1.0, 0.0};
-    const std::vector<double> b = {2.0, 0.5};
-
     BandedMatrix a = rcJacobian();
-    BandedFactorization factor = rcOperator(method, dt);
-    ImplicitLinearSolver<BandedFactorization> solver(2);
-    std::vector<double> y = y0;
-    auto apply = [&a](const std::vector<double> &x,
-                      std::vector<double> &ax) { a.multiply(x, ax); };
-    solver.integrate(method, factor, apply, b, dt, steps, y);
+    std::vector<std::unique_ptr<BandedFactorization>> rungs;
+    double rung_duration = 0.0;
+    Solver solver{2};
 
-    std::vector<double> exact = rcExact(y0, b, horizon);
+    IntegrationReport run(double duration, double tolerance,
+                          std::vector<double> &y)
+    {
+        if (duration != rung_duration) {
+            rungs.clear();
+            rung_duration = duration;
+        }
+        auto factor_for = [&](unsigned rung,
+                              Error &) -> const BandedFactorization * {
+            if (rung >= rungs.size())
+                rungs.resize(rung + 1);
+            if (!rungs[rung])
+                rungs[rung] = std::make_unique<BandedFactorization>(
+                    rcOperator(std::ldexp(duration,
+                                          -static_cast<int>(rung))));
+            return rungs[rung].get();
+        };
+        auto apply = [this](const std::vector<double> &x,
+                            std::vector<double> &ax) {
+            a.multiply(x, ax);
+        };
+        return solver.integrate(factor_for, apply, kForcing, duration,
+                                tolerance, y);
+    }
+};
+
+/** Max-norm error of `steps` fixed TR-BDF2 steps over [0, 1]: an
+ *  infinite tolerance makes each ladder call exactly one step. */
+double
+integrateError(size_t steps)
+{
+    const double h = 1.0 / static_cast<double>(steps);
+    const std::vector<double> y0 = {1.0, 0.0};
+    Ladder ladder;
+    std::vector<double> y = y0;
+    for (size_t k = 0; k < steps; ++k) {
+        IntegrationReport report = ladder.run(
+            h, std::numeric_limits<double>::infinity(), y);
+        EXPECT_TRUE(report.ok && report.steps == 1);
+    }
+    std::vector<double> exact = rcExact(y0, kForcing, 1.0);
     return std::max(std::fabs(y[0] - exact[0]),
                     std::fabs(y[1] - exact[1]));
 }
@@ -96,136 +138,122 @@ integrateError(ImplicitMethod method, size_t steps)
 TEST(ImplicitOde, Rk4MatchesAnalyticRcSolution)
 {
     const double horizon = 1.0;
-    const std::vector<double> b = {2.0, 0.5};
     std::vector<double> y = {1.0, 0.0};
     BandedMatrix a = rcJacobian();
     Rk4Solver rk4(2);
-    auto deriv = [&a, &b](double, const std::vector<double> &yy,
-                          std::vector<double> &dydt) {
+    auto deriv = [&a](double, const std::vector<double> &yy,
+                      std::vector<double> &dydt) {
         a.multiply(yy, dydt);
-        dydt[0] += b[0];
-        dydt[1] += b[1];
+        dydt[0] += kForcing[0];
+        dydt[1] += kForcing[1];
     };
     rk4.integrate(deriv, 0.0, horizon, 1e-3, y);
-    std::vector<double> exact = rcExact({1.0, 0.0}, b, horizon);
+    std::vector<double> exact = rcExact({1.0, 0.0}, kForcing, horizon);
     EXPECT_NEAR(y[0], exact[0], 1e-10);
     EXPECT_NEAR(y[1], exact[1], 1e-10);
 }
 
-TEST(ImplicitOde, BackwardEulerConvergesFirstOrder)
+TEST(ImplicitOde, TrBdf2ConvergesSecondOrder)
 {
-    const double e64 = integrateError(ImplicitMethod::BackwardEuler, 64);
-    const double e128 =
-        integrateError(ImplicitMethod::BackwardEuler, 128);
-    EXPECT_LT(e64, 0.02);
-    // Halving dt should roughly halve the error (order 1).
-    EXPECT_NEAR(e64 / e128, 2.0, 0.3);
-}
-
-TEST(ImplicitOde, TrapezoidalConvergesSecondOrder)
-{
-    const double e64 = integrateError(ImplicitMethod::Trapezoidal, 64);
-    const double e128 =
-        integrateError(ImplicitMethod::Trapezoidal, 128);
+    const double e64 = integrateError(64);
+    const double e128 = integrateError(128);
     EXPECT_LT(e64, 1e-4);
-    // Halving dt should quarter the error (order 2).
+    // Halving h should quarter the error (order 2).
     EXPECT_NEAR(e64 / e128, 4.0, 0.5);
 }
 
-TEST(ImplicitOde, BothMethodsPreserveTheFixedPoint)
+TEST(ImplicitOde, TrBdf2PreservesTheFixedPoint)
 {
-    // At the steady state A y + b = 0 every A-stable one-step method
-    // here is stationary for *any* dt — even one spanning many time
-    // constants. This is the property the thermal fast path leans on.
-    const std::vector<double> b = {2.0, 0.5};
+    // At the steady state A y + b = 0 TR-BDF2 is stationary for *any*
+    // h — even one spanning many time constants — and its error
+    // estimate is zero, so the ladder crosses any horizon in one
+    // step. This is the property the thermal fast path leans on.
     const double det = kA * kA - kC * kC;
-    std::vector<double> ss = {(kA * b[0] + kC * b[1]) / det,
-                              (kC * b[0] + kA * b[1]) / det};
-    BandedMatrix a = rcJacobian();
-    auto apply = [&a](const std::vector<double> &x,
-                      std::vector<double> &ax) { a.multiply(x, ax); };
-    for (ImplicitMethod method : {ImplicitMethod::BackwardEuler,
-                                  ImplicitMethod::Trapezoidal}) {
-        const double dt = 50.0;  // 150 fast time constants per step
-        BandedFactorization factor = rcOperator(method, dt);
-        ImplicitLinearSolver<BandedFactorization> solver(2);
-        std::vector<double> y = ss;
-        solver.integrate(method, factor, apply, b, dt, 4, y);
-        EXPECT_NEAR(y[0], ss[0], 1e-12) << implicitMethodName(method);
-        EXPECT_NEAR(y[1], ss[1], 1e-12) << implicitMethodName(method);
-    }
+    const std::vector<double> ss = {
+        (kA * kForcing[0] + kC * kForcing[1]) / det,
+        (kC * kForcing[0] + kA * kForcing[1]) / det};
+    Ladder ladder;
+    std::vector<double> y = ss;
+    IntegrationReport report = ladder.run(50.0, 1e-9, y);
+    ASSERT_TRUE(report.ok);
+    EXPECT_EQ(report.steps, 1u);
+    EXPECT_EQ(report.retries, 0u);
+    EXPECT_NEAR(y[0], ss[0], 1e-12);
+    EXPECT_NEAR(y[1], ss[1], 1e-12);
 }
 
 TEST(ImplicitOde, CheckedReportsStepsAndResidualProxy)
 {
-    const std::vector<double> b = {2.0, 0.5};
-    BandedMatrix a = rcJacobian();
-    auto apply = [&a](const std::vector<double> &x,
-                      std::vector<double> &ax) { a.multiply(x, ax); };
-    const double dt = 0.125;
-    BandedFactorization factor =
-        rcOperator(ImplicitMethod::BackwardEuler, dt);
-    ImplicitLinearSolver<BandedFactorization> solver(2);
+    // One unit horizon under a tight tolerance: the controller must
+    // reject the full-horizon step, walk down the ladder, land
+    // exactly on the horizon, and track the analytic solution.
+    Ladder ladder;
     std::vector<double> y = {1.0, 0.0};
-    IntegrationReport report = solver.integrateChecked(
-        ImplicitMethod::BackwardEuler, factor, apply, b, dt, 8, y);
+    IntegrationReport report = ladder.run(1.0, 1e-6, y);
     ASSERT_TRUE(report.ok);
-    EXPECT_EQ(report.steps, 8u);
-    EXPECT_EQ(report.retries, 0u);
-    EXPECT_NEAR(report.completed_time, 1.0, 1e-12);
+    EXPECT_GT(report.retries, 0u);
+    EXPECT_GT(report.steps, 8u);
+    EXPECT_DOUBLE_EQ(report.completed_time, 1.0);
     // |dy/dt| at t=0 is |A y0 + b| = max(|-3+2|, |1+0.5|) = 1.5.
     EXPECT_NEAR(report.max_derivative, 1.5, 1e-12);
+    std::vector<double> exact = rcExact({1.0, 0.0}, kForcing, 1.0);
+    EXPECT_NEAR(y[0], exact[0], 1e-5);
+    EXPECT_NEAR(y[1], exact[1], 1e-5);
+
+    // Same inputs, same steps: the ladder restarts at rung 0 per call.
+    Ladder again;
+    std::vector<double> y2 = {1.0, 0.0};
+    IntegrationReport repeat = again.run(1.0, 1e-6, y2);
+    EXPECT_EQ(repeat.steps, report.steps);
+    EXPECT_EQ(repeat.retries, report.retries);
+    EXPECT_EQ(y2, y);
 }
 
 TEST(ImplicitOde, CheckedRejectsBadArguments)
 {
-    BandedFactorization factor =
-        rcOperator(ImplicitMethod::BackwardEuler, 0.1);
-    BandedMatrix a = rcJacobian();
-    auto apply = [&a](const std::vector<double> &x,
-                      std::vector<double> &ax) { a.multiply(x, ax); };
-    ImplicitLinearSolver<BandedFactorization> solver(2);
-
+    Ladder ladder;
     std::vector<double> wrong = {1.0};
-    IntegrationReport r1 = solver.integrateChecked(
-        ImplicitMethod::BackwardEuler, factor, apply, {2.0, 0.5}, 0.1,
-        4, wrong);
+    IntegrationReport r1 = ladder.run(0.1, 1e-6, wrong);
     EXPECT_FALSE(r1.ok);
     EXPECT_EQ(r1.error.code, ErrorCode::InvalidArgument);
 
     std::vector<double> y = {1.0, 0.0};
-    IntegrationReport r2 = solver.integrateChecked(
-        ImplicitMethod::BackwardEuler, factor, apply, {2.0, 0.5}, 0.0,
-        4, y);
+    IntegrationReport r2 = ladder.run(0.0, 1e-6, y);
     EXPECT_FALSE(r2.ok);
     EXPECT_EQ(r2.error.code, ErrorCode::InvalidArgument);
+
+    IntegrationReport r3 = ladder.run(0.1, 0.0, y);
+    EXPECT_FALSE(r3.ok);
+    EXPECT_EQ(r3.error.code, ErrorCode::InvalidArgument);
 }
 
 TEST(ImplicitOde, CheckedSurfacesInjectedSolveFault)
 {
-    BandedFactorization factor =
-        rcOperator(ImplicitMethod::Trapezoidal, 0.1);
-    BandedMatrix a = rcJacobian();
-    auto apply = [&a](const std::vector<double> &x,
-                      std::vector<double> &ax) { a.multiply(x, ax); };
-    ImplicitLinearSolver<BandedFactorization> solver(2);
+    // Under a loose tolerance each call is one accepted step of
+    // three solves, so the poisoned fourth solve kills the second
+    // call's first stage: the error surfaces typed and the state
+    // stays where the first call left it.
+    Ladder ladder;
     std::vector<double> y = {1.0, 0.0};
+    IntegrationReport clean = ladder.run(0.1, 1.0, y);
+    ASSERT_TRUE(clean.ok);
+    ASSERT_EQ(clean.steps, 1u);
+    const std::vector<double> after_one = y;
 
+    Ladder faulty;
+    std::vector<double> z = {1.0, 0.0};
     FaultInjector::instance().reset();
-    FaultInjector::instance().armCallFault(FaultSite::LuSolve, 3);
-    IntegrationReport report = solver.integrateChecked(
-        ImplicitMethod::Trapezoidal, factor, apply, {2.0, 0.5}, 0.1, 8,
-        y);
+    FaultInjector::instance().armCallFault(FaultSite::LuSolve, 4);
+    IntegrationReport report = faulty.run(0.1, 1.0, z);
+    IntegrationReport second = faulty.run(0.1, 1.0, z);
     FaultInjector::instance().reset();
 
-    EXPECT_FALSE(report.ok);
-    EXPECT_EQ(report.error.code, ErrorCode::FaultInjected);
-    // Solves 1-2 are the Rannacher startup half-steps (step 1); the
-    // poisoned third solve kills step 2, leaving the state at the
-    // last finite value with one full step on the clock.
-    EXPECT_EQ(report.steps, 1u);
-    EXPECT_NEAR(report.completed_time, 0.1, 1e-12);
-    EXPECT_TRUE(std::isfinite(y[0]) && std::isfinite(y[1]));
+    EXPECT_TRUE(report.ok);
+    EXPECT_FALSE(second.ok);
+    EXPECT_EQ(second.error.code, ErrorCode::FaultInjected);
+    EXPECT_EQ(second.steps, 0u);
+    EXPECT_EQ(second.completed_time, 0.0);
+    EXPECT_EQ(z, after_one);
 }
 
 } // anonymous namespace

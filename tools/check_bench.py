@@ -31,7 +31,7 @@ import sys
 
 NUMBER = (int, float)
 KERNELS = ("scalar", "packed")
-SOLVERS = ("rk4", "backward-euler", "trapezoidal")
+SOLVERS = ("rk4", "tr-bdf2")
 
 
 class CheckError(Exception):
@@ -207,15 +207,13 @@ def check_thermal(data, shards):
     # Equivalence pins: every error is non-negative, the steady-state
     # ones sit under the stated tolerance, and the block says so.
     equiv = field(data, "equivalence", dict, "report")
-    for key in ("steady_rel_err_rk4", "steady_rel_err_be",
-                "steady_rel_err_cn", "steady_tolerance",
-                "transient_rel_dev_be", "transient_rel_dev_cn"):
+    for key in ("steady_rel_err_rk4", "steady_rel_err_trbdf2",
+                "steady_tolerance", "transient_rel_dev_trbdf2"):
         field(equiv, key, NUMBER, "equivalence", minimum=0)
     if equiv.get("passed") is not True:
         fail("equivalence.passed is not true")
     tol = equiv["steady_tolerance"]
-    for key in ("steady_rel_err_rk4", "steady_rel_err_be",
-                "steady_rel_err_cn"):
+    for key in ("steady_rel_err_rk4", "steady_rel_err_trbdf2"):
         if equiv[key] > tol:
             fail(f"equivalence '{key}' {equiv[key]} exceeds the "
                  f"stated tolerance {tol}")
