@@ -54,12 +54,12 @@ BusEnergyModel::BusEnergyModel(const TechnologyNode &tech,
     }
 
     line_energy_.assign(width_, 0.0);
-    factor_.assign(2 * static_cast<size_t>(width_), 1.0);
     acc_line_.assign(width_, 0.0);
     last_word_ &= word_mask_;
 
     kernel_ = config.kernel;
-    final_prev_word_ = last_word_;
+    last_prev_ = last_word_;
+    last_next_ = last_word_;
     if (kernel_ == TransitionKernel::Packed) {
         counts_ = std::make_unique<PackedTransitionCounts>(
             width_, radius_, last_word_);
@@ -90,131 +90,66 @@ BusEnergyModel::couplingCapacitance(unsigned i, unsigned j) const
     return Farads{coupling_cap_(i, j)};
 }
 
-namespace {
-
-/**
- * Smallest radius at which moving lines are grouped: below it a
- * line's window is so short that the data-dependent group size costs
- * more in mispredicted branches than the parallel chains save.
- */
-constexpr unsigned kMinGroupRadius = 4;
-
-/**
- * Coupling sums of K moving lines over one shared window [lo, hi]:
- * K independent add chains, each adding its own line's terms in
- * ascending j, so every chain is the per-line sum of the reference
- * evaluator (see transitionEnergy()).
- */
-template <unsigned K>
-inline void
-couplingSums(const double *const *rows, const double *const *factors,
-             unsigned lo, unsigned hi, double *sums)
+EnergyBreakdown
+BusEnergyModel::evaluate(uint64_t prev, uint64_t next,
+                         std::span<double> line) const
 {
-    double s[K] = {};
-    for (unsigned j = lo; j <= hi; ++j) {
-        // Fully unrolled so the K sums stay in registers; a rolled
-        // loop keeps them on the stack and every term then waits on
-        // a store-to-load round trip.
-#pragma GCC unroll 4
-        for (unsigned k = 0; k < K; ++k)
-            s[k] += rows[k][j] * factors[k][j];
-    }
-    for (unsigned k = 0; k < K; ++k)
-        sums[k] = s[k];
-}
+    std::fill(line.begin(), line.end(), 0.0);
+    EnergyBreakdown out;
 
-} // namespace
+    const uint64_t changed = (prev ^ next) & word_mask_;
+    // Energy is dissipated only in lines that themselves transition
+    // (V_i = 0 makes both the self and every coupling term vanish),
+    // so iterate over set bits of the change mask only.
+    for (uint64_t bits = changed; bits; bits &= bits - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(bits));
+        const int vi = bitOf(next, i) ? 1 : -1;
+        const double e_self = half_vdd2_ * self_cap_[i];
+
+        double coupling_sum = 0.0;
+        const double *row = coupling_cap_.rowPtr(i);
+        const unsigned j_lo = i >= radius_ ? i - radius_ : 0;
+        const unsigned j_hi = std::min(width_ - 1, i + radius_);
+        for (unsigned j = j_lo; j <= j_hi; ++j) {
+            if (j == i)
+                continue;
+            int vj = 0;
+            if (bitOf(changed, j))
+                vj = bitOf(next, j) ? 1 : -1;
+            coupling_sum += row[j] *
+                static_cast<double>(couplingFactor(vi, vj));
+        }
+        const double e_coup = half_vdd2_ * coupling_sum;
+
+        line[i] = e_self + e_coup;
+        out.self += Joules{e_self};
+        out.coupling += Joules{e_coup};
+    }
+    return out;
+}
 
 const std::vector<double> &
 BusEnergyModel::transitionEnergy(uint64_t prev, uint64_t next)
 {
-    const uint64_t changed = (prev ^ next) & word_mask_;
-    double *const line = line_energy_.data();
-    double *const rising = factor_.data();
-    double *const falling = rising + width_;
-
-    // couplingFactor(vi, vj) = 1 - vi vj, tabulated once per word for
-    // both directions of line i: rising[j] for vi = +1, falling[j]
-    // for vi = -1. A steady line j (vj = 0) has factor 1, a toggling
-    // pair 2 (Miller doubling), a same-direction pair 0. The values
-    // are small integers, so each is exactly the double the per-term
-    // integer expression casts to. Only the lines this call or the
-    // previous one moved can differ from the steady state (factor 1,
-    // energy 0), so only those are rewritten.
-    for (uint64_t bits = scratch_changed_ | changed; bits;
-         bits &= bits - 1) {
-        const unsigned j = static_cast<unsigned>(std::countr_zero(bits));
-        const int vj = static_cast<int>(bitOf(changed, j)) *
-            (2 * static_cast<int>(bitOf(next, j)) - 1);
-        rising[j] = static_cast<double>(1 - vj);
-        falling[j] = static_cast<double>(1 + vj);
-        line[j] = 0.0;
-    }
-    scratch_changed_ = changed;
-    last_ = EnergyBreakdown();
-    if (changed == 0)
-        return line_energy_;
-
-    // Energy is dissipated only in lines that themselves transition
-    // (V_i = 0 makes both the self and every coupling term vanish),
-    // so iterate over set bits of the change mask only, in groups of
-    // up to four lines summed as independent chains over one shared
-    // ascending-j window. A group keeps its first and last lines'
-    // own windows overlapping (span <= 2 radius), so the shared
-    // window is under twice a line's own; below kMinGroupRadius, and
-    // for lines too far apart, a line sums over its own window alone.
-    //
-    // Bit-identity with the per-line reference loop (one chain per
-    // line over its own window, skipping j == i): every term the
-    // shared window adds beyond line i's own window, and the
-    // diagonal term, is exactly +0.0, because coupling_cap_ holds a
-    // literal 0.0 on the diagonal and beyond the radius and every
-    // factor is 0, 1 or 2. A sum that starts at +0.0 can never be
-    // -0.0 (round-to-nearest only yields -0.0 from -0.0 + -0.0), and
-    // x + (+0.0) == x bitwise for every other x, so each chain adds
-    // the reference's nonzero terms in the same order and ends on
-    // the same bits.
-    const unsigned span = 2 * radius_;
-    const unsigned max_group = radius_ >= kMinGroupRadius ? 4 : 1;
-    double e_self_sum = 0.0;
-    double e_coup_sum = 0.0;
-    for (uint64_t bits = changed; bits;) {
-        unsigned lines[4];
-        unsigned n = 0;
-        for (uint64_t b = bits; b && n < max_group; b &= b - 1)
-            lines[n++] = static_cast<unsigned>(std::countr_zero(b));
-        while (n > 1 && lines[n - 1] - lines[0] > span)
-            --n;
-
-        const double *rows[4];
-        const double *factors[4];
-        for (unsigned k = 0; k < n; ++k) {
-            rows[k] = coupling_cap_.rowPtr(lines[k]);
-            factors[k] = bitOf(next, lines[k]) ? rising : falling;
-        }
-        const unsigned lo = lines[0] >= radius_ ? lines[0] - radius_ : 0;
-        const unsigned hi = std::min(width_ - 1, lines[n - 1] + radius_);
-        double sums[4];
-        switch (n) {
-          case 4: couplingSums<4>(rows, factors, lo, hi, sums); break;
-          case 3: couplingSums<3>(rows, factors, lo, hi, sums); break;
-          case 2: couplingSums<2>(rows, factors, lo, hi, sums); break;
-          default: couplingSums<1>(rows, factors, lo, hi, sums); break;
-        }
-
-        for (unsigned k = 0; k < n; ++k) {
-            const unsigned i = lines[k];
-            const double e_self = half_vdd2_ * self_cap_[i];
-            const double e_coup = half_vdd2_ * sums[k];
-            line[i] = e_self + e_coup;
-            e_self_sum += e_self;
-            e_coup_sum += e_coup;
-            bits &= bits - 1;
-        }
-    }
-    last_.self = Joules{e_self_sum};
-    last_.coupling = Joules{e_coup_sum};
+    evaluate(prev, next, line_energy_);
+    last_prev_ = prev;
+    last_next_ = next;
     return line_energy_;
+}
+
+EnergyBreakdown
+BusEnergyModel::lastBreakdown() const
+{
+    std::vector<double> line(width_);
+    return evaluate(last_prev_, last_next_, line);
+}
+
+std::vector<double>
+BusEnergyModel::lastLineEnergy() const
+{
+    std::vector<double> line(width_);
+    evaluate(last_prev_, last_next_, line);
+    return line;
 }
 
 Joules
@@ -222,26 +157,18 @@ BusEnergyModel::step(uint64_t next)
 {
     next &= word_mask_;
     if (kernel_ == TransitionKernel::Packed) {
-        final_prev_word_ = last_word_;
-        counts_->process(std::span<const uint64_t>(&next, 1));
-        last_word_ = next;
-        ++cycles_;
-        deriveAccumulators();
-        transitionEnergy(final_prev_word_, last_word_);
-        return last_.total();
+        countWords(std::span<const uint64_t>(&next, 1));
+        return evaluate(last_prev_, last_next_, line_energy_).total();
     }
-    const std::vector<double> &energies =
-        transitionEnergy(last_word_, next);
-    // Steady lines hold +0.0 energy, so only moving lines change an
-    // accumulator (see stepBatch()).
-    for (uint64_t bits = scratch_changed_; bits; bits &= bits - 1) {
-        const unsigned i = static_cast<unsigned>(std::countr_zero(bits));
-        acc_line_[i] += energies[i];
-    }
-    acc_ += last_;
+    const EnergyBreakdown e = evaluate(last_word_, next, line_energy_);
+    for (unsigned i = 0; i < width_; ++i)
+        acc_line_[i] += line_energy_[i];
+    acc_ += e;
+    last_prev_ = last_word_;
+    last_next_ = next;
     last_word_ = next;
     ++cycles_;
-    return last_.total();
+    return e.total();
 }
 
 void
@@ -256,46 +183,64 @@ BusEnergyModel::stepBatch(std::span<const uint64_t> words,
         // Counts only; the caller's interval spans stay untouched
         // (interval energies derive from beginInterval()/
         // intervalEnergy() count deltas instead — see the header).
-        const size_t n = words.size();
-        if (n == 0)
-            return;
-        final_prev_word_ =
-            n >= 2 ? (words[n - 2] & word_mask_) : last_word_;
-        counts_->process(words);
-        last_word_ = counts_->prevWord();
-        cycles_ += n;
-        deriveAccumulators();
-        // Re-derive the final transition through the scalar
-        // evaluator: for a single transition the count form reduces
-        // to it exactly, so lastBreakdown()/lastLineEnergy() keep
-        // scalar-identical semantics.
-        transitionEnergy(final_prev_word_, last_word_);
+        countWords(words);
         return;
     }
     uint64_t last = last_word_;
     for (size_t k = 0; k < words.size(); ++k) {
         const uint64_t next = words[k] & word_mask_;
-        transitionEnergy(last, next);
+        const EnergyBreakdown e = evaluate(last, next, line_energy_);
         // Each accumulator sees the same per-word addition sequence
         // as step() + the caller's per-record loop, so the sums are
-        // bit-identical to the per-record path. Only moving lines are
-        // added: a steady line's energy is +0.0, and adding +0.0 to
-        // an accumulator that started at +0.0 leaves its bits as they
-        // are (it can never hold -0.0), so skipping it is bitwise the
-        // full-width loop.
-        for (uint64_t bits = scratch_changed_; bits; bits &= bits - 1) {
-            const unsigned i =
-                static_cast<unsigned>(std::countr_zero(bits));
-            const double e = line_energy_[i];
-            acc_line_[i] += e;
-            interval_line_acc[i] += e;
+        // bit-identical to the per-record path.
+        for (unsigned i = 0; i < width_; ++i) {
+            const double e_line = line_energy_[i];
+            acc_line_[i] += e_line;
+            interval_line_acc[i] += e_line;
         }
-        acc_ += last_;
-        interval_acc += last_;
+        acc_ += e;
+        interval_acc += e;
+        last_prev_ = last;
+        last_next_ = next;
         last = next;
     }
     last_word_ = last;
     cycles_ += words.size();
+}
+
+void
+BusEnergyModel::countWords(std::span<const uint64_t> words)
+{
+    const size_t n = words.size();
+    if (n == 0)
+        return;
+    last_prev_ = n >= 2 ? (words[n - 2] & word_mask_) : last_word_;
+    counts_->process(words);
+    last_word_ = counts_->prevWord();
+    last_next_ = last_word_;
+    cycles_ += n;
+}
+
+std::vector<double>
+BusEnergyModel::accumulatedLineEnergy() const
+{
+    if (kernel_ == TransitionKernel::Scalar)
+        return acc_line_;
+    std::vector<double> line(width_);
+    EnergyBreakdown unused;
+    deriveEnergies(nullptr, nullptr, line, unused);
+    return line;
+}
+
+EnergyBreakdown
+BusEnergyModel::accumulatedBreakdown() const
+{
+    if (kernel_ == TransitionKernel::Scalar)
+        return acc_;
+    std::vector<double> line(width_);
+    EnergyBreakdown out;
+    deriveEnergies(nullptr, nullptr, line, out);
+    return out;
 }
 
 void
@@ -389,12 +334,6 @@ BusEnergyModel::deriveEnergies(const uint64_t *self_base,
 }
 
 void
-BusEnergyModel::deriveAccumulators()
-{
-    deriveEnergies(nullptr, nullptr, acc_line_, acc_);
-}
-
-void
 BusEnergyModel::beginInterval()
 {
     if (kernel_ != TransitionKernel::Packed)
@@ -421,14 +360,6 @@ BusEnergyModel::intervalEnergy(std::span<double> line_out,
                    interval_pair_base_.data(), line_out, out);
 }
 
-unsigned
-BusEnergyModel::packedPairStride() const
-{
-    if (kernel_ != TransitionKernel::Packed)
-        panic("packedPairStride: model runs the scalar kernel");
-    return counts_->storedRadius();
-}
-
 BusEnergyModel::PackedState
 BusEnergyModel::capturePackedState() const
 {
@@ -436,7 +367,7 @@ BusEnergyModel::capturePackedState() const
         panic("capturePackedState: model runs the scalar kernel");
     PackedState state;
     state.last_word = last_word_;
-    state.final_prev_word = final_prev_word_;
+    state.final_prev_word = last_prev_;
     state.cycles = cycles_;
     std::span<const uint64_t> self = counts_->selfCounts();
     std::span<const int64_t> pairs = counts_->pairDeviations();
@@ -466,12 +397,11 @@ BusEnergyModel::restorePackedState(const PackedState &state)
     if (!restored.ok())
         return restored;
     last_word_ = state.last_word & word_mask_;
-    final_prev_word_ = state.final_prev_word & word_mask_;
     cycles_ = state.cycles;
     interval_self_base_ = state.interval_self;
     interval_pair_base_ = state.interval_pairs;
-    deriveAccumulators();
-    transitionEnergy(final_prev_word_, last_word_);
+    last_prev_ = state.final_prev_word & word_mask_;
+    last_next_ = last_word_;
     return Status();
 }
 

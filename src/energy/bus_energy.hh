@@ -74,16 +74,16 @@ class BusEnergyModel
         /** Initial word held on the bus. */
         uint64_t initial_word = 0;
         /**
-         * Transition kernel. Scalar evaluates FP energies word by
-         * word (the oracle path); Packed accumulates exact integer
-         * transition counts over bit-packed 64-cycle blocks
-         * (energy/packed.hh) and derives energies from the counts at
-         * observation points. Packed results are bit-identical under
-         * any batching of the same word sequence, but not bitwise
-         * comparable to Scalar (different FP summation order; they
-         * agree to rounding — see docs/PIPELINE.md).
+         * Transition kernel. Packed, the default, accumulates exact
+         * integer transition counts over bit-packed 64-cycle blocks
+         * (energy/packed.hh) and derives energies from the counts.
+         * Scalar is the plain per-word FP loop, kept as the oracle
+         * tests pin Packed against. Packed results are bit-identical
+         * under any batching of the same word sequence, but not
+         * bitwise comparable to Scalar (different FP summation
+         * order; they agree to rounding — see docs/PIPELINE.md).
          */
-        TransitionKernel kernel = TransitionKernel::Scalar;
+        TransitionKernel kernel = TransitionKernel::Packed;
     };
 
     /**
@@ -118,35 +118,25 @@ class BusEnergyModel
     Farads couplingCapacitance(unsigned i, unsigned j) const;
 
     /**
-     * Energies dissipated in each line by the transition prev->next.
-     * Leaves the held word and every accumulator alone; it only
-     * rewrites the evaluation scratch: the per-line energy buffer,
-     * the per-word coupling-factor table and the mask of lines the
-     * call moved, which the next call uses to zero just those lines
-     * instead of the whole buffer. Returns a reference to the
-     * internal buffer, valid until the next call.
-     *
-     * The evaluation is branch-free and sums up to four moving lines
-     * as independent chains over a shared window, yet each line's
-     * energy is bitwise the per-line reference sum: the extra terms
-     * are exactly +0.0 (see bus_energy.cc), so results match the
-     * straightforward loop bit for bit (pinned by
-     * tests/energy/test_scalar_kernel_diff.cc).
+     * Energies dissipated in each line by the transition prev->next,
+     * in either kernel: one ascending-j coupling sum per moving line.
+     * Leaves the held word and every accumulator alone; afterwards
+     * lastBreakdown()/lastLineEnergy() describe this transition.
+     * Returns a reference to an internal buffer, valid until the
+     * next call.
      */
     const std::vector<double> &transitionEnergy(uint64_t prev,
                                                 uint64_t next);
 
-    /** Self/coupling breakdown of the last transitionEnergy() call. */
-    const EnergyBreakdown &lastBreakdown() const { return last_; }
-
     /**
-     * Per-line energies [J] of the last transitionEnergy()/step()
-     * call (same buffer transitionEnergy returns).
+     * Self/coupling breakdown of the last transition: that of the
+     * last transitionEnergy() call, or the final word a step(),
+     * stepBatch() or restore clocked in. Evaluated on each call.
      */
-    const std::vector<double> &lastLineEnergy() const
-    {
-        return line_energy_;
-    }
+    EnergyBreakdown lastBreakdown() const;
+
+    /** Per-line energies [J] of the same transition. */
+    std::vector<double> lastLineEnergy() const;
 
     /**
      * Clock in the next word: computes the transition energy from the
@@ -166,22 +156,15 @@ class BusEnergyModel
      * pass, and every accumulator receives the exact per-word
      * addition sequence of the per-record path, so the results are
      * bit-identical (pinned by tests/sim/test_pipeline_batch.cc).
-     * Only the lines that move in a word are added to acc_line_ and
-     * `interval_line_acc`: a steady line's energy is +0.0, and an
-     * accumulator that started at +0.0 never holds -0.0, so adding
-     * +0.0 would leave its bits unchanged — skipping it is bitwise
-     * the full-width loop (for the caller's span too, as long as it
-     * was zero-filled with +0.0). After the call,
-     * lastBreakdown()/lastLineEnergy() describe the final transition
-     * of the run.
+     * After the call, lastBreakdown()/lastLineEnergy() describe the
+     * final transition of the run.
      *
      * Under the Packed kernel the caller's interval accumulators are
      * deliberately NOT touched: interval energies are derived from
      * the count state instead — call beginInterval() at each
      * interval start and intervalEnergy() at each close
-     * (fabric/bus_sim.cc does). Whole-run accumulators and the final
-     * transition's lastBreakdown()/lastLineEnergy() keep their
-     * documented meaning in both kernels.
+     * (fabric/bus_sim.cc does). Packed only counts here; the
+     * whole-run accumulators derive from the counts when read.
      */
     void stepBatch(std::span<const uint64_t> words,
                    std::span<double> interval_line_acc,
@@ -190,17 +173,22 @@ class BusEnergyModel
     /** Cycles step()ed since the last reset. */
     uint64_t cycles() const { return cycles_; }
 
-    /** Accumulated per-line energies [J] since the last reset. */
-    const std::vector<double> &accumulatedLineEnergy() const
-    {
-        return acc_line_;
-    }
+    /**
+     * Accumulated per-line energies [J] since the last reset. Packed
+     * derives them from the counts on each call (O(width x radius)),
+     * so read them once per observation, not once per line.
+     */
+    std::vector<double> accumulatedLineEnergy() const;
 
-    /** Accumulated bus-total breakdown since the last reset. */
-    const EnergyBreakdown &accumulatedBreakdown() const { return acc_; }
+    /** Accumulated bus-total breakdown since the last reset (derived
+     *  on each call under Packed, like accumulatedLineEnergy()). */
+    EnergyBreakdown accumulatedBreakdown() const;
 
     /** Accumulated bus-total energy. */
-    Joules accumulatedTotal() const { return acc_.total(); }
+    Joules accumulatedTotal() const
+    {
+        return accumulatedBreakdown().total();
+    }
 
     /** Clear accumulators (keeps the held word). */
     void resetAccumulation();
@@ -236,14 +224,14 @@ class BusEnergyModel
     /**
      * Full mutable state of the Packed kernel, for checkpoint/resume
      * (fabric/bus_snapshot.cc). Energies are deliberately absent:
-     * they are derived from the counts on restore, which is what
-     * keeps resumed runs bit-identical.
+     * they are derived from the restored counts when read, which is
+     * what keeps resumed runs bit-identical.
      */
     struct PackedState
     {
         uint64_t last_word = 0;
         /** Word held before the final recorded transition (feeds
-         *  lastBreakdown()/lastLineEnergy() re-derivation). */
+         *  lastBreakdown()/lastLineEnergy()). */
         uint64_t final_prev_word = 0;
         uint64_t cycles = 0;
         std::vector<uint64_t> self;
@@ -262,15 +250,17 @@ class BusEnergyModel
      */
     [[nodiscard]] Status restorePackedState(const PackedState &state);
 
-    /** Pair-deviation slots per line in the packed count state. */
-    unsigned packedPairStride() const;
-
   private:
     void deriveEnergies(const uint64_t *self_base,
                         const int64_t *pair_base,
                         std::span<double> line_out,
                         EnergyBreakdown &out) const;
-    void deriveAccumulators();
+    /** The per-line loop: writes every line of `line` and returns
+     *  the breakdown. */
+    EnergyBreakdown evaluate(uint64_t prev, uint64_t next,
+                             std::span<double> line) const;
+    /** Packed: clock `words` into the counts. */
+    void countWords(std::span<const uint64_t> words);
     unsigned width_;
     unsigned radius_;
     double half_vdd2_;         // 0.5 * Vdd^2
@@ -278,20 +268,17 @@ class BusEnergyModel
     uint64_t word_mask_;
 
     std::vector<double> self_cap_;     // per line, full length [F]
-    /** Per pair, full length [F]; a literal 0.0 on the diagonal and
-     *  beyond the radius (transitionEnergy() relies on it). */
+    /** Per pair, full length [F]; 0.0 on the diagonal and beyond the
+     *  radius. */
     Matrix coupling_cap_;
 
     std::vector<double> line_energy_;  // scratch, per line [J]
-    /** Scratch coupling factors 1 - vi vj of the last transition:
-     *  [0, width) for a rising line i, [width, 2 width) for a falling
-     *  one; 1 on every line outside scratch_changed_. */
-    std::vector<double> factor_;
-    /** Lines the last transitionEnergy() call moved: the only lines
-     *  with nonzero line_energy_ or a factor other than 1. */
-    uint64_t scratch_changed_ = 0;
-    EnergyBreakdown last_;
+    /** The transition lastBreakdown()/lastLineEnergy() describe
+     *  (Packed snapshots carry last_prev_ as `final_prev_word`). */
+    uint64_t last_prev_ = 0;
+    uint64_t last_next_ = 0;
 
+    // Whole-run accumulators (Scalar; Packed derives from counts_).
     std::vector<double> acc_line_;
     EnergyBreakdown acc_;
     uint64_t cycles_ = 0;
@@ -302,8 +289,6 @@ class BusEnergyModel
     /** Count snapshot at the open interval's start. */
     std::vector<uint64_t> interval_self_base_;
     std::vector<int64_t> interval_pair_base_;
-    /** Word held before the last recorded transition. */
-    uint64_t final_prev_word_ = 0;
 };
 
 } // namespace nanobus

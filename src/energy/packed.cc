@@ -36,8 +36,18 @@ PackedTransitionCounts::process(std::span<const uint64_t> words)
     // tests/energy/test_packed_kernel.cc.
     uint64_t lanes[64];
     uint64_t trans[64];
+    // Shorter runs count word by word: the 64 x 64 transpose costs
+    // more than it saves there (on 16-64-wire buses at 2-64 toggling
+    // lines per word, a 16-word run costs the same or less word by
+    // word, a 32-word run usually more).
+    constexpr size_t kMinBlockWords = 16;
     while (base < n) {
         const size_t m = std::min<size_t>(64, n - base);
+        if (m < kMinBlockWords) {
+            for (size_t k = base; k < n; ++k)
+                countWord(words[k] & word_mask_);
+            return;
+        }
         for (size_t k = 0; k < m; ++k)
             lanes[k] = words[base + k] & word_mask_;
         std::fill(lanes + m, lanes + 64, 0ull);
@@ -87,6 +97,31 @@ PackedTransitionCounts::process(std::span<const uint64_t> words)
         prev_word_ = next_prev;
         base += m;
     }
+}
+
+void
+PackedTransitionCounts::countWord(uint64_t word)
+{
+    // The integers the lane path adds for one cycle: each moving line
+    // counts once, and each moving pair within the radius deviates
+    // +1 when the lines end apart (opposite toggles), -1 when they end
+    // together (same direction).
+    const uint64_t changed = prev_word_ ^ word;
+    for (uint64_t bits = changed; bits; bits &= bits - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(bits));
+        ++self_[i];
+        int64_t *row = pair_.data() +
+            static_cast<size_t>(i) * stored_radius_;
+        // Bit d: line i + 1 + d moved too.
+        uint64_t partners =
+            (changed >> i >> 1) & lowMask(stored_radius_);
+        for (; partners; partners &= partners - 1) {
+            const unsigned d =
+                static_cast<unsigned>(std::countr_zero(partners));
+            row[d] += bitOf(word, i) != bitOf(word, i + 1 + d) ? 1 : -1;
+        }
+    }
+    prev_word_ = word;
 }
 
 void

@@ -7,9 +7,10 @@
  * packed kernel exploits that: instead of evaluating FP energies word
  * by word, it accumulates *exact integer* counts over 64-cycle blocks
  * of bus words — self counts as popcounts of transition lanes, pair
- * deviations from the lane classification in energy/transition.hh —
- * and derives energies from the counts only at observation points
- * (interval close, accessors, snapshots). Integer accumulation is
+ * deviations from the lane classification in energy/transition.hh.
+ * BusEnergyModel derives energies from the counts only where they are
+ * read: the whole-run accumulators in its accessors, interval
+ * energies at each interval close. Integer accumulation is
  * associative, so the counts — and every energy derived from them —
  * are bit-identical under any batch/block/pool split
  * (docs/PIPELINE.md, "Scalar/packed equivalence contract").
@@ -49,8 +50,6 @@ class PackedTransitionCounts
     PackedTransitionCounts(unsigned width, unsigned radius,
                            uint64_t initial_word);
 
-    unsigned width() const { return width_; }
-
     /** Radius after clamping; pairs farther apart count as zero. */
     unsigned storedRadius() const { return stored_radius_; }
 
@@ -61,7 +60,9 @@ class PackedTransitionCounts
      * Accumulate the counts for a run of bus words (one per cycle),
      * transitioning from the held word into words[0] and onward.
      * Words are masked to the bus width internally; the held word
-     * becomes words.back() & mask.
+     * becomes words.back() & mask. A short final run (under 16
+     * words) skips the transpose and counts word by word; the counts
+     * are the same either way.
      */
     void process(std::span<const uint64_t> words);
 
@@ -108,6 +109,9 @@ class PackedTransitionCounts
                                  std::span<const int64_t> pairs);
 
   private:
+    /** Count one masked word's transition without a transpose. */
+    void countWord(uint64_t word);
+
     unsigned width_;
     unsigned stored_radius_;
     uint64_t word_mask_;

@@ -108,12 +108,13 @@ struct BusSimConfig
     uint64_t interval_cycles = 100000;
     /**
      * Transition kernel for the energy model (see
-     * BusEnergyModel::Config::kernel): Scalar is the per-word FP
-     * oracle path, Packed the bit-packed integer-count kernel. A
-     * given kernel is bit-identical to itself under any batch/pool
-     * split; the two kernels agree to FP rounding, not bitwise.
+     * BusEnergyModel::Config::kernel): Packed, the default, is the
+     * bit-packed integer-count kernel, Scalar the plain per-word FP
+     * oracle. A given kernel is bit-identical to itself under any
+     * batch/pool split; the two kernels agree to FP rounding, not
+     * bitwise.
      */
-    TransitionKernel kernel = TransitionKernel::Scalar;
+    TransitionKernel kernel = TransitionKernel::Packed;
     /** Thermal network settings. delta_theta == 0 with a non-None
      *  stack mode is auto-filled from the Eq 7 model. */
     ThermalConfig thermal;
@@ -201,14 +202,15 @@ class BusSimulator
     /** Total transmissions so far. */
     uint64_t transmissions() const { return transmissions_; }
 
-    /** Whole-run energy breakdown [J]. */
-    const EnergyBreakdown &totalEnergy() const
+    /** Whole-run energy breakdown [J] (derived on each call under
+     *  Packed, see BusEnergyModel::accumulatedBreakdown()). */
+    EnergyBreakdown totalEnergy() const
     {
         return energy_->accumulatedBreakdown();
     }
 
     /** Whole-run per-line energies [J]. */
-    const std::vector<double> &lineEnergies() const
+    std::vector<double> lineEnergies() const
     {
         return energy_->accumulatedLineEnergy();
     }

@@ -180,7 +180,7 @@ BusSimulator::saveState(SnapshotWriter &w) const
         w.putU64(energy_->lastWord());
         w.putU64(energy_->cycles());
         putF64Vector(w, energy_->accumulatedLineEnergy());
-        const EnergyBreakdown &acc = energy_->accumulatedBreakdown();
+        const EnergyBreakdown acc = energy_->accumulatedBreakdown();
         w.putF64(acc.self.raw());
         w.putF64(acc.coupling.raw());
     }

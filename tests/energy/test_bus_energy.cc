@@ -178,9 +178,8 @@ TEST(BusEnergy, StepAccumulates)
     EXPECT_EQ(model.cycles(), 2u);
     EXPECT_EQ(model.lastWord(), 0x0fu);
     EXPECT_NEAR(model.accumulatedTotal().raw(), e1 + e2, 1e-24);
-    double line_sum = std::accumulate(
-        model.accumulatedLineEnergy().begin(),
-        model.accumulatedLineEnergy().end(), 0.0);
+    const std::vector<double> lines = model.accumulatedLineEnergy();
+    double line_sum = std::accumulate(lines.begin(), lines.end(), 0.0);
     EXPECT_NEAR(line_sum, e1 + e2, 1e-24);
 }
 

@@ -1,15 +1,19 @@
 /**
  * @file
- * Bitwise differential test of the Scalar energy kernel against the
- * straightforward per-line evaluator it replaced.
+ * Differential test of the Packed energy kernel (the default) against
+ * the Scalar kernel, the plain per-line loop kept as its oracle.
  *
- * ReferenceBusEnergy below is that evaluator kept verbatim: one
- * branchy j loop per moving line ("did j change? which way?"), a
- * full-width zero fill per transition and full-width accumulation.
- * BusEnergyModel evaluates the same sums branch-free, several lines
- * at a time over a shared window, and accumulates only the moving
- * lines; every observable must still match the reference bit for
- * bit (EXPECT_EQ on the IEEE-754 bit patterns, no tolerance).
+ * Three properties, over the same seeded draws:
+ *
+ *  - Packed is bit-identical to itself under any split of a word
+ *    stream into step()/stepBatch() calls, across interval opens,
+ *    accumulator resets and PackedState round trips;
+ *  - a single transition derives bitwise as Scalar evaluates it:
+ *    lastLineEnergy()/lastBreakdown() after every call, and the
+ *    count-derived accumulators after one step from a reset;
+ *  - over whole runs, Packed's accumulators and interval energies
+ *    agree with Scalar's to 1e-9 relative (different FP summation
+ *    order, same real-number sums).
  *
  * The draws cover widths {1, 2, 31, 32, 33, 63, 64}, radii {0, 1, 2,
  * w/2, w-1, 64}, the analytical and a BEM-extracted capacitance
@@ -24,9 +28,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,7 +41,6 @@
 #include "extraction/bem.hh"
 #include "extraction/capmatrix.hh"
 #include "extraction/geometry.hh"
-#include "la/matrix.hh"
 #include "util/bitops.hh"
 #include "util/random.hh"
 
@@ -44,153 +49,9 @@ namespace {
 
 const TechnologyNode &tech130 = itrsNode(ItrsNode::Nm130);
 
-/**
- * The per-line evaluator BusEnergyModel's Scalar kernel must
- * reproduce. It reads the model's stored capacitances through the
- * public accessors, which return the raw doubles unchanged.
- */
-class ReferenceBusEnergy
-{
-  public:
-    ReferenceBusEnergy(const TechnologyNode &tech,
-                       const BusEnergyModel &model)
-        : width_(model.width()),
-          radius_(model.couplingRadius()),
-          half_vdd2_(0.5 * (tech.vdd * tech.vdd).raw()),
-          last_word_(model.lastWord()),
-          word_mask_(lowMask(model.width())),
-          coupling_cap_(model.width(), model.width(), 0.0)
-    {
-        self_cap_.resize(width_);
-        for (unsigned i = 0; i < width_; ++i) {
-            self_cap_[i] = model.selfCapacitance(i).raw();
-            for (unsigned j = 0; j < width_; ++j)
-                coupling_cap_(i, j) =
-                    model.couplingCapacitance(i, j).raw();
-        }
-        line_energy_.assign(width_, 0.0);
-        acc_line_.assign(width_, 0.0);
-    }
-
-    const std::vector<double> &transitionEnergy(uint64_t prev,
-                                                uint64_t next)
-    {
-        std::fill(line_energy_.begin(), line_energy_.end(), 0.0);
-        last_ = EnergyBreakdown();
-
-        uint64_t changed = (prev ^ next) & word_mask_;
-        if (changed == 0)
-            return line_energy_;
-
-        for (uint64_t bits = changed; bits;) {
-            unsigned i = static_cast<unsigned>(std::countr_zero(bits));
-            bits &= bits - 1;
-
-            const int vi = bitOf(next, i) ? 1 : -1;
-
-            double e_self = half_vdd2_ * self_cap_[i];
-
-            double coupling_sum = 0.0;
-            unsigned j_lo = i >= radius_ ? i - radius_ : 0;
-            unsigned j_hi = std::min(width_ - 1, i + radius_);
-            const double *row = coupling_cap_.rowPtr(i);
-            for (unsigned j = j_lo; j <= j_hi; ++j) {
-                if (j == i)
-                    continue;
-                int vj = 0;
-                if ((changed >> j) & 1ull)
-                    vj = bitOf(next, j) ? 1 : -1;
-                coupling_sum += row[j] *
-                    static_cast<double>(couplingFactor(vi, vj));
-            }
-            double e_coup = half_vdd2_ * coupling_sum;
-
-            line_energy_[i] = e_self + e_coup;
-            last_.self += Joules{e_self};
-            last_.coupling += Joules{e_coup};
-        }
-        return line_energy_;
-    }
-
-    Joules step(uint64_t next)
-    {
-        next &= word_mask_;
-        const std::vector<double> &energies =
-            transitionEnergy(last_word_, next);
-        for (unsigned i = 0; i < width_; ++i)
-            acc_line_[i] += energies[i];
-        acc_ += last_;
-        last_word_ = next;
-        ++cycles_;
-        return last_.total();
-    }
-
-    void stepBatch(std::span<const uint64_t> words,
-                   std::span<double> interval_line_acc,
-                   EnergyBreakdown &interval_acc)
-    {
-        uint64_t last = last_word_;
-        for (size_t k = 0; k < words.size(); ++k) {
-            const uint64_t next = words[k] & word_mask_;
-            transitionEnergy(last, next);
-            for (unsigned i = 0; i < width_; ++i) {
-                const double e = line_energy_[i];
-                acc_line_[i] += e;
-                interval_line_acc[i] += e;
-            }
-            acc_ += last_;
-            interval_acc += last_;
-            last = next;
-        }
-        last_word_ = last;
-        cycles_ += words.size();
-    }
-
-    void resetAccumulation()
-    {
-        std::fill(acc_line_.begin(), acc_line_.end(), 0.0);
-        acc_ = EnergyBreakdown();
-        cycles_ = 0;
-    }
-
-    void restoreAccumulation(uint64_t last_word,
-                             const std::vector<double> &acc_line,
-                             const EnergyBreakdown &acc,
-                             uint64_t cycles)
-    {
-        last_word_ = last_word & word_mask_;
-        acc_line_ = acc_line;
-        acc_ = acc;
-        cycles_ = cycles;
-    }
-
-    const EnergyBreakdown &lastBreakdown() const { return last_; }
-    const std::vector<double> &lastLineEnergy() const
-    {
-        return line_energy_;
-    }
-    const std::vector<double> &accumulatedLineEnergy() const
-    {
-        return acc_line_;
-    }
-    const EnergyBreakdown &accumulatedBreakdown() const { return acc_; }
-    uint64_t cycles() const { return cycles_; }
-    uint64_t lastWord() const { return last_word_; }
-
-  private:
-    unsigned width_;
-    unsigned radius_;
-    double half_vdd2_;
-    uint64_t last_word_;
-    uint64_t word_mask_;
-    std::vector<double> self_cap_;
-    Matrix coupling_cap_;
-    std::vector<double> line_energy_;
-    EnergyBreakdown last_;
-    std::vector<double> acc_line_;
-    EnergyBreakdown acc_;
-    uint64_t cycles_ = 0;
-};
+/** Relative bound between the kernels' run accumulators (the one
+ *  PackedModel.AgreesWithScalarToRounding uses). */
+constexpr double kRel = 1e-9;
 
 uint64_t
 bits(double v)
@@ -199,58 +60,46 @@ bits(double v)
 }
 
 void
-expectSameBits(const std::vector<double> &model,
-               const std::vector<double> &ref, const char *what)
+expectSameBits(const std::vector<double> &got,
+               const std::vector<double> &want, const char *what)
 {
-    ASSERT_EQ(model.size(), ref.size()) << what;
-    for (size_t i = 0; i < ref.size(); ++i)
-        EXPECT_EQ(bits(model[i]), bits(ref[i]))
-            << what << " line " << i << ": " << model[i] << " vs "
-            << ref[i];
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(bits(got[i]), bits(want[i]))
+            << what << " line " << i << ": " << got[i] << " vs "
+            << want[i];
 }
 
 void
-expectSameBits(const EnergyBreakdown &model, const EnergyBreakdown &ref,
+expectSameBits(const EnergyBreakdown &got, const EnergyBreakdown &want,
                const char *what)
 {
-    EXPECT_EQ(bits(model.self.raw()), bits(ref.self.raw()))
+    EXPECT_EQ(bits(got.self.raw()), bits(want.self.raw()))
         << what << " self";
-    EXPECT_EQ(bits(model.coupling.raw()), bits(ref.coupling.raw()))
+    EXPECT_EQ(bits(got.coupling.raw()), bits(want.coupling.raw()))
         << what << " coupling";
 }
 
-/** Every observable of the model against the reference. */
 void
-expectSameState(const BusEnergyModel &model,
-                const ReferenceBusEnergy &ref)
+expectNear(const std::vector<double> &got,
+           const std::vector<double> &want, const char *what)
 {
-    expectSameBits(model.lastLineEnergy(), ref.lastLineEnergy(),
-                   "lastLineEnergy");
-    expectSameBits(model.lastBreakdown(), ref.lastBreakdown(),
-                   "lastBreakdown");
-    expectSameBits(model.accumulatedLineEnergy(),
-                   ref.accumulatedLineEnergy(), "accumulatedLineEnergy");
-    expectSameBits(model.accumulatedBreakdown(),
-                   ref.accumulatedBreakdown(), "accumulatedBreakdown");
-    EXPECT_EQ(model.cycles(), ref.cycles());
-    EXPECT_EQ(model.lastWord(), ref.lastWord());
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < want.size(); ++i)
+        EXPECT_NEAR(got[i], want[i], kRel * std::abs(want[i]) + 1e-30)
+            << what << " line " << i;
 }
 
-/**
- * Resume both evaluators from the model's accumulators with a new
- * held word, as a checkpoint restore would; returns the held word.
- */
-uint64_t
-restoreBoth(BusEnergyModel &model, ReferenceBusEnergy &ref,
-            uint64_t word)
+void
+expectNear(const EnergyBreakdown &got, const EnergyBreakdown &want,
+           const char *what)
 {
-    const std::vector<double> acc_line = model.accumulatedLineEnergy();
-    const EnergyBreakdown acc = model.accumulatedBreakdown();
-    const uint64_t cycles = model.cycles();
-    EXPECT_TRUE(model.restoreAccumulation(word, acc_line, acc, cycles)
-                    .ok());
-    ref.restoreAccumulation(word, acc_line, acc, cycles);
-    return word;
+    EXPECT_NEAR(got.self.raw(), want.self.raw(),
+                kRel * std::abs(want.self.raw()) + 1e-30)
+        << what << " self";
+    EXPECT_NEAR(got.coupling.raw(), want.coupling.raw(),
+                kRel * std::abs(want.coupling.raw()) + 1e-30)
+        << what << " coupling";
 }
 
 enum class MatrixKind { Analytical, Bem };
@@ -277,17 +126,21 @@ bemMatrix(unsigned width)
     return it->second;
 }
 
-BusEnergyModel
+/** Heap-held so a test can swap in a freshly restored model. */
+std::unique_ptr<BusEnergyModel>
 makeModel(MatrixKind kind, unsigned width, unsigned radius,
-          uint64_t initial_word)
+          TransitionKernel kernel, uint64_t initial_word)
 {
     BusEnergyModel::Config config;
     config.coupling_radius = radius;
     config.initial_word = initial_word;
-    const CapacitanceMatrix caps = kind == MatrixKind::Bem
-        ? bemMatrix(width)
-        : CapacitanceMatrix::analytical(tech130, width);
-    return BusEnergyModel(tech130, caps, config);
+    config.kernel = kernel;
+    return std::make_unique<BusEnergyModel>(
+        tech130,
+        kind == MatrixKind::Bem
+            ? bemMatrix(width)
+            : CapacitanceMatrix::analytical(tech130, width),
+        config);
 }
 
 /**
@@ -316,6 +169,17 @@ nextWord(Rng &rng, uint64_t prev, unsigned width)
       default:
         return (prev & lowMask(width)) | garbage;
     }
+}
+
+/** A run of up to `max_words` words continuing from `word`, which
+ *  ends as the run's last word. */
+std::vector<uint64_t>
+nextRun(Rng &rng, uint64_t &word, unsigned width, uint64_t max_words)
+{
+    std::vector<uint64_t> words(rng.below(max_words + 1));
+    for (uint64_t &w : words)
+        w = word = nextWord(rng, word, width);
+    return words;
 }
 
 struct Case
@@ -358,126 +222,219 @@ cases()
     return all;
 }
 
-TEST(ScalarKernelDiff, TransitionEnergyMatchesReference)
+/** Interval energies of a Packed model since its last
+ *  beginInterval(). */
+struct Interval
 {
-    for (const Case &c : cases()) {
-        SCOPED_TRACE(describe(c));
-        Rng rng(c.seed);
-        BusEnergyModel model = makeModel(c.kind, c.width, c.radius, 0);
-        ReferenceBusEnergy ref(tech130, model);
-        uint64_t prev = rng.next();
-        for (int n = 0; n < 200; ++n) {
-            const uint64_t next = nextWord(rng, prev, c.width);
-            expectSameBits(model.transitionEnergy(prev, next),
-                           ref.transitionEnergy(prev, next),
-                           "transitionEnergy");
-            expectSameBits(model.lastBreakdown(), ref.lastBreakdown(),
-                           "lastBreakdown");
-            // Unrelated pairs as often as chained ones, so one call's
-            // scratch never lines up with the next call's lines.
-            prev = rng.chance(0.5) ? next : rng.next();
-            if (::testing::Test::HasFailure())
-                return;
-        }
-    }
+    std::vector<double> lines;
+    EnergyBreakdown total;
+};
+
+Interval
+intervalOf(const BusEnergyModel &model)
+{
+    Interval out{std::vector<double>(model.width(), 0.0), {}};
+    model.intervalEnergy(out.lines, out.total);
+    return out;
 }
 
-TEST(ScalarKernelDiff, StepMatchesReference)
+TEST(KernelDiff, PackedSplitInvarianceIsBitwise)
 {
+    // `whole` takes each run in one stepBatch; `split` takes the same
+    // run in random pieces (empty batches and single step()s
+    // included) and now and then resumes from its own captured
+    // state. Both see the same interval opens and resets between
+    // runs, so every observable must match bit for bit.
     for (const Case &c : cases()) {
         SCOPED_TRACE(describe(c));
         Rng rng(c.seed ^ 0x57e9);
         const uint64_t initial = rng.next();
-        BusEnergyModel model =
-            makeModel(c.kind, c.width, c.radius, initial);
-        ReferenceBusEnergy ref(tech130, model);
+        const auto whole = makeModel(
+            c.kind, c.width, c.radius, TransitionKernel::Packed,
+            initial);
+        std::unique_ptr<BusEnergyModel> split = makeModel(
+            c.kind, c.width, c.radius, TransitionKernel::Packed,
+            initial);
+        std::vector<double> unused(c.width, 0.0);
+        EnergyBreakdown unused_acc;
         uint64_t word = initial;
-        for (int n = 0; n < 300; ++n) {
-            word = nextWord(rng, word, c.width);
-            const double e_model = model.step(word).raw();
-            const double e_ref = ref.step(word).raw();
-            EXPECT_EQ(bits(e_model), bits(e_ref));
-            switch (rng.below(16)) {
+        for (int run = 0; run < 40; ++run) {
+            const std::vector<uint64_t> words =
+                nextRun(rng, word, c.width, 150);
+            whole->stepBatch(words, unused, unused_acc);
+            for (size_t k = 0; k < words.size();) {
+                if (rng.chance(0.25)) {
+                    split->step(words[k++]);
+                    continue;
+                }
+                const size_t n =
+                    std::min<size_t>(rng.below(70), words.size() - k);
+                split->stepBatch(
+                    std::span<const uint64_t>(words).subspan(k, n),
+                    unused, unused_acc);
+                k += n;
+            }
+            switch (rng.below(8)) {
               case 0:
-                model.resetAccumulation();
-                ref.resetAccumulation();
+                whole->beginInterval();
+                split->beginInterval();
                 break;
               case 1:
-                word = restoreBoth(model, ref, rng.next());
+                whole->resetAccumulation();
+                split->resetAccumulation();
                 break;
               case 2: {
-                const uint64_t a = rng.next();
-                const uint64_t b = nextWord(rng, a, c.width);
-                model.transitionEnergy(a, b);
-                ref.transitionEnergy(a, b);
+                // Resume, as a checkpoint would, into a model that
+                // already stepped other words: the restore must drop
+                // them.
+                const BusEnergyModel::PackedState state =
+                    split->capturePackedState();
+                split = makeModel(c.kind, c.width, c.radius,
+                                  TransitionKernel::Packed, 0);
+                uint64_t stray = rng.next();
+                split->stepBatch(nextRun(rng, stray, c.width, 70),
+                                 unused, unused_acc);
+                ASSERT_TRUE(split->restorePackedState(state).ok());
                 break;
               }
               default:
                 break;
             }
-            expectSameState(model, ref);
+
+            expectSameBits(split->accumulatedLineEnergy(),
+                           whole->accumulatedLineEnergy(),
+                           "accumulatedLineEnergy");
+            expectSameBits(split->accumulatedBreakdown(),
+                           whole->accumulatedBreakdown(),
+                           "accumulatedBreakdown");
+            expectSameBits(split->lastLineEnergy(),
+                           whole->lastLineEnergy(), "lastLineEnergy");
+            expectSameBits(split->lastBreakdown(),
+                           whole->lastBreakdown(), "lastBreakdown");
+            const Interval a = intervalOf(*split);
+            const Interval b = intervalOf(*whole);
+            expectSameBits(a.lines, b.lines, "interval lines");
+            expectSameBits(a.total, b.total, "interval breakdown");
+            EXPECT_EQ(split->cycles(), whole->cycles());
+            EXPECT_EQ(split->lastWord(), whole->lastWord());
             if (::testing::Test::HasFailure())
                 return;
         }
     }
 }
 
-TEST(ScalarKernelDiff, StepBatchMatchesReference)
+TEST(KernelDiff, PackedSingleTransitionIsBitwiseScalar)
 {
+    // A run's final transition is evaluated per line in both kernels,
+    // and one step from a reset accumulates exactly one count per
+    // moving line, so the count-derived accumulators reduce to the
+    // same FP expressions Scalar evaluates: bitwise, no tolerance.
+    for (const Case &c : cases()) {
+        SCOPED_TRACE(describe(c));
+        Rng rng(c.seed);
+        const uint64_t initial = rng.next();
+        const auto packed = makeModel(
+            c.kind, c.width, c.radius, TransitionKernel::Packed,
+            initial);
+        const auto scalar = makeModel(
+            c.kind, c.width, c.radius, TransitionKernel::Scalar,
+            initial);
+        std::vector<double> unused(c.width, 0.0);
+        EnergyBreakdown unused_acc;
+        uint64_t word = initial;
+        for (int n = 0; n < 100; ++n) {
+            if (rng.chance(0.5)) {
+                const std::vector<uint64_t> words =
+                    nextRun(rng, word, c.width, 24);
+                packed->stepBatch(words, unused, unused_acc);
+                scalar->stepBatch(words, unused, unused_acc);
+            } else {
+                packed->resetAccumulation();
+                scalar->resetAccumulation();
+                word = nextWord(rng, word, c.width);
+                EXPECT_EQ(bits(packed->step(word).raw()),
+                          bits(scalar->step(word).raw()));
+                expectSameBits(packed->accumulatedLineEnergy(),
+                               scalar->lastLineEnergy(),
+                               "single-step accumulatedLineEnergy");
+                expectSameBits(packed->accumulatedBreakdown(),
+                               scalar->lastBreakdown(),
+                               "single-step accumulatedBreakdown");
+            }
+            if (rng.chance(0.25)) {
+                // An unrelated pair between the chained calls.
+                const uint64_t a = rng.next();
+                const uint64_t b = nextWord(rng, a, c.width);
+                packed->transitionEnergy(a, b);
+                scalar->transitionEnergy(a, b);
+            }
+            expectSameBits(packed->lastLineEnergy(),
+                           scalar->lastLineEnergy(), "lastLineEnergy");
+            expectSameBits(packed->lastBreakdown(),
+                           scalar->lastBreakdown(), "lastBreakdown");
+            EXPECT_EQ(packed->lastWord(), scalar->lastWord());
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(KernelDiff, PackedAgreesWithScalarToRounding)
+{
+    // The production shape: batches of uneven size, interval closes
+    // between them (Scalar fills the caller's spans, Packed derives
+    // from count deltas) and whole-run accumulators.
     for (const Case &c : cases()) {
         SCOPED_TRACE(describe(c));
         Rng rng(c.seed ^ 0xba7c);
         const uint64_t initial = rng.next();
-        BusEnergyModel model =
-            makeModel(c.kind, c.width, c.radius, initial);
-        ReferenceBusEnergy ref(tech130, model);
-        std::vector<double> span_model(c.width, 0.0);
-        std::vector<double> span_ref(c.width, 0.0);
-        EnergyBreakdown interval_model;
-        EnergyBreakdown interval_ref;
+        const auto packed = makeModel(
+            c.kind, c.width, c.radius, TransitionKernel::Packed,
+            initial);
+        const auto scalar = makeModel(
+            c.kind, c.width, c.radius, TransitionKernel::Scalar,
+            initial);
+        std::vector<double> unused(c.width, 0.0);
+        EnergyBreakdown unused_acc;
+        std::vector<double> span(c.width, 0.0);
+        EnergyBreakdown interval;
         uint64_t word = initial;
         for (int batch = 0; batch < 40; ++batch) {
-            std::vector<uint64_t> words(rng.below(24));
-            for (uint64_t &w : words)
-                w = word = nextWord(rng, word, c.width);
-            model.stepBatch(words, span_model, interval_model);
-            ref.stepBatch(words, span_ref, interval_ref);
-            expectSameBits(span_model, span_ref, "interval span");
-            expectSameBits(interval_model, interval_ref,
-                           "interval breakdown");
-            switch (rng.below(8)) {
+            const std::vector<uint64_t> words =
+                nextRun(rng, word, c.width, 100);
+            packed->stepBatch(words, unused, unused_acc);
+            scalar->stepBatch(words, span, interval);
+
+            // Close or reset before any read.
+            switch (rng.below(6)) {
               case 0:
-                // Interval close: the caller restarts its spans.
-                std::fill(span_model.begin(), span_model.end(), 0.0);
-                std::fill(span_ref.begin(), span_ref.end(), 0.0);
-                interval_model = EnergyBreakdown();
-                interval_ref = EnergyBreakdown();
+                // Interval close: both restart their interval sums.
+                packed->beginInterval();
+                std::fill(span.begin(), span.end(), 0.0);
+                interval = EnergyBreakdown();
                 break;
               case 1:
-                model.resetAccumulation();
-                ref.resetAccumulation();
+                // A reset also clears Packed's interval baseline.
+                packed->resetAccumulation();
+                scalar->resetAccumulation();
+                std::fill(span.begin(), span.end(), 0.0);
+                interval = EnergyBreakdown();
                 break;
-              case 2:
-                word = restoreBoth(model, ref, rng.next());
-                break;
-              case 3: {
-                const uint64_t a = rng.next();
-                const uint64_t b = nextWord(rng, a, c.width);
-                model.transitionEnergy(a, b);
-                ref.transitionEnergy(a, b);
-                break;
-              }
-              case 4: {
-                word = nextWord(rng, word, c.width);
-                const double e_model = model.step(word).raw();
-                const double e_ref = ref.step(word).raw();
-                EXPECT_EQ(bits(e_model), bits(e_ref));
-                break;
-              }
               default:
                 break;
             }
-            expectSameState(model, ref);
+
+            expectNear(packed->accumulatedLineEnergy(),
+                       scalar->accumulatedLineEnergy(),
+                       "accumulatedLineEnergy");
+            expectNear(packed->accumulatedBreakdown(),
+                       scalar->accumulatedBreakdown(),
+                       "accumulatedBreakdown");
+            const Interval got = intervalOf(*packed);
+            expectNear(got.lines, span, "interval lines");
+            expectNear(got.total, interval, "interval breakdown");
+            EXPECT_EQ(packed->cycles(), scalar->cycles());
+            EXPECT_EQ(packed->lastWord(), scalar->lastWord());
             if (::testing::Test::HasFailure())
                 return;
         }

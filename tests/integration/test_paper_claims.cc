@@ -140,32 +140,37 @@ TEST(Fig1b, BemNonAdjacentShareAcrossNodes)
 
 TEST(Fig3, BusInvertReducesSelfEnergyOnDataBus)
 {
-    EnergyCell plain = runEnergyStudy("eon", tech130,
-                                      EncodingScheme::Unencoded, 64,
-                                      50000);
-    EnergyCell bi = runEnergyStudy("eon", tech130,
-                                   EncodingScheme::BusInvert, 64,
-                                   50000);
-    EXPECT_LT(bi.data.self, plain.data.self);
+    for (ItrsNode id : allItrsNodes()) {
+        const TechnologyNode &tech = itrsNode(id);
+        EnergyCell plain = runEnergyStudy(
+            "eon", tech, EncodingScheme::Unencoded, 64, 50000);
+        EnergyCell bi = runEnergyStudy(
+            "eon", tech, EncodingScheme::BusInvert, 64, 50000);
+        EXPECT_LT(bi.data.self, plain.data.self) << itrsNodeName(id);
+    }
 }
 
 TEST(Fig3, EncodingGivesNoBenefitOnInstructionBus)
 {
     // "For instruction address buses, the added complexity of
     // encoding schemes seem to yield no benefits."
-    for (EncodingScheme scheme :
-         {EncodingScheme::BusInvert,
-          EncodingScheme::OddEvenBusInvert,
-          EncodingScheme::CouplingDrivenBusInvert}) {
-        EnergyCell plain = runEnergyStudy("swim", tech130,
-                                          EncodingScheme::Unencoded,
-                                          64, 50000);
-        EnergyCell coded = runEnergyStudy("swim", tech130, scheme,
-                                          64, 50000);
-        double ratio = coded.instruction.total() /
-            plain.instruction.total();
-        EXPECT_GT(ratio, 0.93) << schemeName(scheme);
-        EXPECT_LT(ratio, 1.10) << schemeName(scheme);
+    for (ItrsNode id : allItrsNodes()) {
+        const TechnologyNode &tech = itrsNode(id);
+        EnergyCell plain = runEnergyStudy(
+            "swim", tech, EncodingScheme::Unencoded, 64, 50000);
+        for (EncodingScheme scheme :
+             {EncodingScheme::BusInvert,
+              EncodingScheme::OddEvenBusInvert,
+              EncodingScheme::CouplingDrivenBusInvert}) {
+            EnergyCell coded =
+                runEnergyStudy("swim", tech, scheme, 64, 50000);
+            double ratio = coded.instruction.total() /
+                plain.instruction.total();
+            EXPECT_GT(ratio, 0.93)
+                << itrsNodeName(id) << " " << schemeName(scheme);
+            EXPECT_LT(ratio, 1.10)
+                << itrsNodeName(id) << " " << schemeName(scheme);
+        }
     }
 }
 
@@ -173,16 +178,18 @@ TEST(Fig3, CouplingSchemesNoBetterThanBiOnAddresses)
 {
     // On realistic address streams OEBI/CBI degenerate to BI-like
     // behaviour (paper, Sec 5.2.1).
-    EnergyCell bi = runEnergyStudy("crafty", tech130,
-                                   EncodingScheme::BusInvert, 64,
-                                   50000);
-    for (EncodingScheme scheme :
-         {EncodingScheme::OddEvenBusInvert,
-          EncodingScheme::CouplingDrivenBusInvert}) {
-        EnergyCell coded = runEnergyStudy("crafty", tech130, scheme,
-                                          64, 50000);
-        EXPECT_GT(coded.data.total(), 0.80 * bi.data.total())
-            << schemeName(scheme);
+    for (ItrsNode id : allItrsNodes()) {
+        const TechnologyNode &tech = itrsNode(id);
+        EnergyCell bi = runEnergyStudy(
+            "crafty", tech, EncodingScheme::BusInvert, 64, 50000);
+        for (EncodingScheme scheme :
+             {EncodingScheme::OddEvenBusInvert,
+              EncodingScheme::CouplingDrivenBusInvert}) {
+            EnergyCell coded =
+                runEnergyStudy("crafty", tech, scheme, 64, 50000);
+            EXPECT_GT(coded.data.total(), 0.80 * bi.data.total())
+                << itrsNodeName(id) << " " << schemeName(scheme);
+        }
     }
 }
 

@@ -67,8 +67,8 @@ TEST(BusSim, EnergyAccumulatesAcrossTransmissions)
     sim.transmit(2, 0x0000);
     EXPECT_GT(sim.totalEnergy().self.raw(), 0.0);
     EXPECT_EQ(sim.transmissions(), 3u);
-    double line_sum = std::accumulate(sim.lineEnergies().begin(),
-                                      sim.lineEnergies().end(), 0.0);
+    const std::vector<double> lines = sim.lineEnergies();
+    double line_sum = std::accumulate(lines.begin(), lines.end(), 0.0);
     EXPECT_NEAR(line_sum, sim.totalEnergy().total().raw(),
                 1e-9 * line_sum);
 }

@@ -143,6 +143,8 @@ TEST(StepBatch, MatchesSequentialStepBitwise)
     const std::vector<uint64_t> words = makeWords(600, 0xabcdef);
     BusEnergyModel::Config config;
     config.coupling_radius = 4;
+    // Scalar: the only kernel that fills the stepBatch interval spans.
+    config.kernel = TransitionKernel::Scalar;
 
     const CapacitanceMatrix caps =
         CapacitanceMatrix::analytical(tech130, 32);

@@ -46,11 +46,18 @@ allSchemes()
     return schemes;
 }
 
+/** Both energy kernels: each checkpoints its own state (Scalar the
+ *  FP accumulators, Packed the integer counts). */
+constexpr TransitionKernel kKernels[] = {TransitionKernel::Scalar,
+                                         TransitionKernel::Packed};
+
 BusSimConfig
-simConfig(EncodingScheme scheme)
+simConfig(EncodingScheme scheme,
+          TransitionKernel kernel = TransitionKernel::Packed)
 {
     BusSimConfig config;
     config.scheme = scheme;
+    config.kernel = kernel;
     config.data_width = 16;
     // Small intervals so the replay straddles several interval
     // closes — the snapshot must carry the bookkeeping mid-flight.
@@ -117,10 +124,10 @@ fingerprint(const TwinBusSimulator &twin)
 /** Replay `records` through the pipeline under `config`. */
 std::vector<uint64_t>
 replay(const std::vector<TraceRecord> &records, EncodingScheme scheme,
-       exec::ThreadPool &pool, const SimPipeline::Config &config,
-       uint64_t *count = nullptr)
+       TransitionKernel kernel, exec::ThreadPool &pool,
+       const SimPipeline::Config &config, uint64_t *count = nullptr)
 {
-    TwinBusSimulator twin(tech130, simConfig(scheme));
+    TwinBusSimulator twin(tech130, simConfig(scheme, kernel));
     SimPipeline pipeline(twin, pool, config);
     VectorTraceSource source(records);
     Result<uint64_t> replayed = pipeline.run(source);
@@ -158,23 +165,26 @@ class SnapshotTest : public ::testing::Test
 TEST_F(SnapshotTest, InMemoryRoundTripIsBitIdentical)
 {
     std::vector<TraceRecord> records = makeRecords(1200);
-    TwinBusSimulator twin(tech130,
-                          simConfig(EncodingScheme::BusInvert));
-    VectorTraceSource source(records);
-    twin.runPerRecord(source);
+    for (TransitionKernel kernel : kKernels) {
+        SCOPED_TRACE(transitionKernelName(kernel));
+        TwinBusSimulator twin(
+            tech130, simConfig(EncodingScheme::BusInvert, kernel));
+        VectorTraceSource source(records);
+        twin.runPerRecord(source);
 
-    Result<std::string> payload =
-        encodeTwinSnapshot(twin, SimCheckpoint{1200, 1199});
-    ASSERT_TRUE(payload.ok());
+        Result<std::string> payload =
+            encodeTwinSnapshot(twin, SimCheckpoint{1200, 1199});
+        ASSERT_TRUE(payload.ok());
 
-    TwinBusSimulator restored(tech130,
-                              simConfig(EncodingScheme::BusInvert));
-    SimCheckpoint cursor;
-    ASSERT_TRUE(
-        decodeTwinSnapshot(payload.value(), restored, cursor).ok());
-    EXPECT_EQ(cursor.records, 1200u);
-    EXPECT_EQ(cursor.last_cycle, 1199u);
-    EXPECT_EQ(fingerprint(restored), fingerprint(twin));
+        TwinBusSimulator restored(
+            tech130, simConfig(EncodingScheme::BusInvert, kernel));
+        SimCheckpoint cursor;
+        ASSERT_TRUE(
+            decodeTwinSnapshot(payload.value(), restored, cursor).ok());
+        EXPECT_EQ(cursor.records, 1200u);
+        EXPECT_EQ(cursor.last_cycle, 1199u);
+        EXPECT_EQ(fingerprint(restored), fingerprint(twin));
+    }
 }
 
 TEST_F(SnapshotTest, KillAndResumeBitIdenticalAllSchemes)
@@ -183,7 +193,7 @@ TEST_F(SnapshotTest, KillAndResumeBitIdenticalAllSchemes)
     // (simulated by replaying a truncated source with checkpointing
     // on) and resumed by a fresh simulator over the full stream must
     // match the uninterrupted run bit-for-bit — for every encoder
-    // scheme, at pool sizes 1, 2, and hw.
+    // scheme and both energy kernels, at pool sizes 1, 2, and hw.
     const std::vector<TraceRecord> records = makeRecords(2000);
     const std::vector<TraceRecord> prefix(records.begin(),
                                           records.begin() + 1100);
@@ -191,34 +201,37 @@ TEST_F(SnapshotTest, KillAndResumeBitIdenticalAllSchemes)
     if (exec::ThreadPool::defaultThreads() > 2)
         pools.push_back(exec::ThreadPool::defaultThreads());
 
-    for (EncodingScheme scheme : allSchemes()) {
-        exec::ThreadPool reference_pool(1);
-        SimPipeline::Config plain;
-        plain.batch_size = 256;
-        const std::vector<uint64_t> uninterrupted =
-            replay(records, scheme, reference_pool, plain);
+    for (TransitionKernel kernel : kKernels) {
+        SCOPED_TRACE(transitionKernelName(kernel));
+        for (EncodingScheme scheme : allSchemes()) {
+            exec::ThreadPool reference_pool(1);
+            SimPipeline::Config plain;
+            plain.batch_size = 256;
+            const std::vector<uint64_t> uninterrupted =
+                replay(records, scheme, kernel, reference_pool, plain);
 
-        for (unsigned pool_size : pools) {
-            exec::ThreadPool pool(pool_size);
+            for (unsigned pool_size : pools) {
+                exec::ThreadPool pool(pool_size);
 
-            // "Kill": replay only the prefix, checkpointing every
-            // batch; the last checkpoint covers the whole prefix.
-            SimPipeline::Config checkpointing = plain;
-            checkpointing.checkpoint_path = ckpt_;
-            checkpointing.checkpoint_every_batches = 1;
-            replay(prefix, scheme, pool, checkpointing);
+                // "Kill": replay only the prefix, checkpointing every
+                // batch; the last checkpoint covers the whole prefix.
+                SimPipeline::Config checkpointing = plain;
+                checkpointing.checkpoint_path = ckpt_;
+                checkpointing.checkpoint_every_batches = 1;
+                replay(prefix, scheme, kernel, pool, checkpointing);
 
-            // Resume over the full stream from the file.
-            SimPipeline::Config resuming = plain;
-            resuming.checkpoint_path = ckpt_;
-            resuming.resume = true;
-            uint64_t total = 0;
-            const std::vector<uint64_t> resumed = replay(
-                records, scheme, pool, resuming, &total);
-            EXPECT_EQ(total, records.size())
-                << schemeName(scheme) << " pool=" << pool_size;
-            EXPECT_EQ(resumed, uninterrupted)
-                << schemeName(scheme) << " pool=" << pool_size;
+                // Resume over the full stream from the file.
+                SimPipeline::Config resuming = plain;
+                resuming.checkpoint_path = ckpt_;
+                resuming.resume = true;
+                uint64_t total = 0;
+                const std::vector<uint64_t> resumed = replay(
+                    records, scheme, kernel, pool, resuming, &total);
+                EXPECT_EQ(total, records.size())
+                    << schemeName(scheme) << " pool=" << pool_size;
+                EXPECT_EQ(resumed, uninterrupted)
+                    << schemeName(scheme) << " pool=" << pool_size;
+            }
         }
     }
 }
@@ -249,35 +262,38 @@ TEST_F(SnapshotTest, FileTraceKillAndResume)
     SimPipeline::Config plain;
     plain.batch_size = 256;
 
-    TwinBusSimulator oracle(tech130, simConfig(scheme));
-    {
-        TraceReader reader(full_path);
-        SimPipeline pipeline(oracle, pool, plain);
-        ASSERT_TRUE(pipeline.run(reader).ok());
-    }
+    for (TransitionKernel kernel : kKernels) {
+        SCOPED_TRACE(transitionKernelName(kernel));
+        TwinBusSimulator oracle(tech130, simConfig(scheme, kernel));
+        {
+            TraceReader reader(full_path);
+            SimPipeline pipeline(oracle, pool, plain);
+            ASSERT_TRUE(pipeline.run(reader).ok());
+        }
 
-    SimPipeline::Config checkpointing = plain;
-    checkpointing.checkpoint_path = ckpt_;
-    checkpointing.checkpoint_every_batches = 1;
-    {
-        TwinBusSimulator killed(tech130, simConfig(scheme));
-        TraceReader reader(prefix_path);
-        SimPipeline pipeline(killed, pool, checkpointing);
-        ASSERT_TRUE(pipeline.run(reader).ok());
-    }
+        SimPipeline::Config checkpointing = plain;
+        checkpointing.checkpoint_path = ckpt_;
+        checkpointing.checkpoint_every_batches = 1;
+        {
+            TwinBusSimulator killed(tech130, simConfig(scheme, kernel));
+            TraceReader reader(prefix_path);
+            SimPipeline pipeline(killed, pool, checkpointing);
+            ASSERT_TRUE(pipeline.run(reader).ok());
+        }
 
-    SimPipeline::Config resuming = plain;
-    resuming.checkpoint_path = ckpt_;
-    resuming.resume = true;
-    TwinBusSimulator resumed(tech130, simConfig(scheme));
-    {
-        TraceReader reader(full_path);
-        SimPipeline pipeline(resumed, pool, resuming);
-        Result<uint64_t> total = pipeline.run(reader);
-        ASSERT_TRUE(total.ok());
-        EXPECT_EQ(total.value(), records.size());
+        SimPipeline::Config resuming = plain;
+        resuming.checkpoint_path = ckpt_;
+        resuming.resume = true;
+        TwinBusSimulator resumed(tech130, simConfig(scheme, kernel));
+        {
+            TraceReader reader(full_path);
+            SimPipeline pipeline(resumed, pool, resuming);
+            Result<uint64_t> total = pipeline.run(reader);
+            ASSERT_TRUE(total.ok());
+            EXPECT_EQ(total.value(), records.size());
+        }
+        EXPECT_EQ(fingerprint(resumed), fingerprint(oracle));
     }
-    EXPECT_EQ(fingerprint(resumed), fingerprint(oracle));
 
     std::remove(full_path.c_str());
     std::remove(prefix_path.c_str());

@@ -146,6 +146,66 @@ TEST(ThermalNet, SteadyStateConservesHeat)
     }
 }
 
+TEST(ThermalNet, SteadyStateMatchesClosedFormUniformPower)
+{
+    // Under the same power P on every wire, all wires sit at one
+    // temperature, so no heat flows laterally and each wire's P
+    // leaves through its own R_self. That gives closed forms:
+    //   None:    theta_i = theta_0 + P R_self
+    //   Static:  theta_i = theta_0 + dtheta + P R_self
+    //   Dynamic: theta_stack = theta_0 + dtheta + N P R_stack,
+    //            theta_i = theta_stack + P R_self
+    // The direct solve must hit them to rounding; a long transient
+    // must settle on them under both solvers.
+    const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
+    constexpr unsigned kWires = 8;
+    const double p = 0.7; // W/m on every wire
+    const std::vector<double> power(kWires, p);
+
+    for (StackMode mode :
+         {StackMode::None, StackMode::Static, StackMode::Dynamic}) {
+        SCOPED_TRACE(mode == StackMode::None     ? "None"
+                     : mode == StackMode::Static ? "Static"
+                                                 : "Dynamic");
+        for (ThermalSolver solver : kSolvers) {
+            SCOPED_TRACE(thermalSolverName(solver));
+            ThermalConfig config = noStack(solver);
+            config.stack_mode = mode;
+            config.delta_theta = Kelvin{4.0};
+            config.stack_time_constant = Seconds{1e-4};
+            ThermalNetwork net(tech, kWires, config);
+            const double r_self =
+                net.wireParams().selfResistance().raw();
+            const double r_stack = config.stack_resistance.raw();
+            const double dtheta = mode == StackMode::None
+                ? 0.0
+                : config.delta_theta.raw();
+            const double stack = mode == StackMode::Dynamic
+                ? ambient + dtheta + kWires * p * r_stack
+                : ambient + dtheta;
+            const double wire = stack + p * r_self;
+
+            const std::vector<double> ss = net.steadyState(power);
+            ASSERT_EQ(ss.size(), kWires);
+            for (unsigned i = 0; i < kWires; ++i)
+                EXPECT_NEAR(ss[i], wire, 1e-12 * (wire - ambient)) << i;
+
+            // 20 time constants of the slowest node: the wires' own
+            // for None/Static, the stack's for Dynamic.
+            net.reset(Kelvin{ambient});
+            const double tau = mode == StackMode::Dynamic
+                ? config.stack_time_constant.raw()
+                : net.wireParams().timeConstant().raw();
+            net.advance(power, Seconds{20.0 * tau});
+            for (unsigned i = 0; i < kWires; ++i)
+                EXPECT_NEAR(net.temperature(i).raw(), wire, 1e-5) << i;
+            if (mode == StackMode::Dynamic) {
+                EXPECT_NEAR(net.stackTemperature().raw(), stack, 1e-5);
+            }
+        }
+    }
+}
+
 TEST(ThermalNet, TransientConservesHeatPerInterval)
 {
     // First law over one mid-transient interval: the heat injected
