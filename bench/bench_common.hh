@@ -297,7 +297,7 @@ class RunMeta
 };
 
 /**
- * Thermal integrator from `--solver=rk4|tr-bdf2|trbdf2`, defaulting
+ * Thermal integrator from `--solver=rk4|modal`, defaulting
  * to the caller's choice when the flag is absent (the figure benches
  * default to the paper-faithful RK4 oracle; docs/THERMAL.md has the
  * selection guidance). An
@@ -313,7 +313,7 @@ thermalSolverFromFlags(const Flags &flags, ThermalSolver fallback)
     if (auto solver = parseThermalSolver(value))
         return *solver;
     std::fprintf(stderr,
-                 "--solver=%s: expected rk4 or tr-bdf2/trbdf2\n",
+                 "--solver=%s: expected rk4 or modal\n",
                  value.c_str());
     std::exit(2);
 }

@@ -23,7 +23,7 @@
  *        --pattern=uniform|hotspot|neighbor --transactions=N
  *        --rate=F --interval=CYCLES --threads=N --json=PATH
  *        --retries=N --deadline=MS
- *        --solver=rk4|tr-bdf2 (thermal integrator for the timed
+ *        --solver=rk4|modal (thermal integrator for the timed
  *        cells; the correctness pins always pin the RK4 oracle)
  *        --smoke (small meshes, few transactions)
  */

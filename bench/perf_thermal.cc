@@ -1,28 +1,29 @@
 /**
  * @file
- * perf_thermal — scaling study of the structured thermal solver
- * (src/thermal over src/la): the width ladder 32 / 512 / 4096 /
- * 10000 wires stepped by each ThermalSolver (RK4 oracle, TR-BDF2),
+ * perf_thermal — scaling study of the thermal solvers (src/thermal
+ * over src/la): the width ladder 32 / 512 / 4096 / 10000 wires
+ * stepped by each ThermalSolver (RK4 oracle, exact modal update),
  * timing milliseconds per simulated interval.
  *
  * Protocol (same discipline as perf_fabric / perf_pipeline): every
  * timing cell is gated on correctness pins run first —
  *
- *  1. steady-state equivalence: after ~10 stack time constants each
- *     solver (RK4 oracle, TR-BDF2) must land on the direct banded
+ *  1. steady-state equivalence: after ~16 stack time constants each
+ *     solver (RK4 oracle, modal) must land on the direct per-mode
  *     solve of G θ = b within 1e-6 relative;
  *  2. transient equivalence: over one wire time constant (the Fig 4
- *     ramp shape at interval scale) the TR-BDF2 trajectory must
- *     track the RK4 oracle within a small fraction of the rise.
+ *     ramp shape at interval scale) the modal trajectory must track
+ *     the RK4 oracle within a small fraction of the rise.
  *
  * The timed ladder then runs; RK4 cells stop at --rk4-max-width
  * (the explicit step count is width-independent but the per-step
- * cost is not, and the point of the study is that the implicit
- * per-interval cost at 10k wires undercuts even the narrowest RK4
- * cell). The acceptance block gates exactly that claim: the widest
- * TR-BDF2 cell must be faster per simulated interval than the
- * 32-wire RK4 oracle. Everything lands in BENCH_thermal.json
- * (`tools/check_bench.py thermal` validates the schema).
+ * cost is not, and the point of the study is that the modal
+ * per-interval cost at 10k wires — two O(N log N) transforms —
+ * undercuts even the narrowest RK4 cell). The acceptance block gates
+ * exactly that claim: the widest modal cell must be faster per
+ * simulated interval than the 32-wire RK4 oracle. Everything lands
+ * in BENCH_thermal.json (`tools/check_bench.py thermal` validates
+ * the schema; its `implicit_*` acceptance keys name the modal cell).
  *
  * Flags: --intervals=N --interval-s=F --rk4-max-width=N
  *        --json=PATH --smoke (short ladder, few intervals)
@@ -91,16 +92,16 @@ constexpr double kTransientTolerance = 0.02; // fraction of the rise
 struct EquivalencePin
 {
     double steady_rel_err_rk4 = 0.0;
-    double steady_rel_err_trbdf2 = 0.0;
-    double transient_rel_dev_trbdf2 = 0.0;
+    double steady_rel_err_modal = 0.0;
+    double transient_rel_dev_modal = 0.0;
     bool passed = false;
 };
 
 /**
  * Steady-state pin: integrate a 32-wire Dynamic-stack network to
- * ~10 stack time constants with each solver and compare against the
- * direct banded solve. TR-BDF2 is exactly fixed-point-preserving,
- * so 1e-6 relative is a conservative gate even for the RK4 oracle.
+ * ~16 stack time constants with each solver and compare against the
+ * direct per-mode solve. The modal update is exact, so 1e-6
+ * relative is a conservative gate even for the RK4 oracle.
  */
 bool
 pinSteadyState(const TechnologyNode &tech, EquivalencePin &pin)
@@ -108,9 +109,9 @@ pinSteadyState(const TechnologyNode &tech, EquivalencePin &pin)
     const double stack_tau = 1e-3;
     const unsigned width = 32;
     double *slots[] = {&pin.steady_rel_err_rk4,
-                       &pin.steady_rel_err_trbdf2};
+                       &pin.steady_rel_err_modal};
     const ThermalSolver solvers[] = {ThermalSolver::Rk4,
-                                     ThermalSolver::TrBdf2};
+                                     ThermalSolver::Modal};
     for (size_t s = 0; s < 2; ++s) {
         ThermalNetwork net(
             tech, width, cellThermalConfig(solvers[s], stack_tau));
@@ -130,16 +131,16 @@ pinSteadyState(const TechnologyNode &tech, EquivalencePin &pin)
             return false;
         }
     }
-    std::printf("steady-state pin: rk4 %.2e, tr-bdf2 %.2e relative "
-                "vs the direct banded solve (gate %.0e)\n",
-                pin.steady_rel_err_rk4, pin.steady_rel_err_trbdf2,
+    std::printf("steady-state pin: rk4 %.2e, modal %.2e relative "
+                "vs the direct per-mode solve (gate %.0e)\n",
+                pin.steady_rel_err_rk4, pin.steady_rel_err_modal,
                 kSteadyTolerance);
     return true;
 }
 
 /**
  * Transient pin: one wire time constant of ramp (the steep part of
- * the Fig 4 shape), the TR-BDF2 trajectory vs the RK4 oracle,
+ * the Fig 4 shape), the modal trajectory vs the RK4 oracle,
  * deviation measured as a fraction of the oracle's rise.
  */
 bool
@@ -165,24 +166,24 @@ pinTransient(const TechnologyNode &tech, EquivalencePin &pin)
 
     ThermalNetwork net(
         tech, width,
-        cellThermalConfig(ThermalSolver::TrBdf2, stack_tau));
+        cellThermalConfig(ThermalSolver::Modal, stack_tau));
     net.advance(power, Seconds{tau_wire});
     const std::vector<double> probe = net.temperatures();
     double dev = 0.0;
     for (size_t i = 0; i < probe.size(); ++i)
         dev = std::max(dev, std::fabs(probe[i] - reference[i]));
-    pin.transient_rel_dev_trbdf2 = dev / rise;
-    if (!(pin.transient_rel_dev_trbdf2 <= kTransientTolerance)) {
+    pin.transient_rel_dev_modal = dev / rise;
+    if (!(pin.transient_rel_dev_modal <= kTransientTolerance)) {
         std::fprintf(stderr,
-                     "FAIL: tr-bdf2 transient deviates from RK4 by "
+                     "FAIL: modal transient deviates from RK4 by "
                      "%.1f%% of the rise (gate %.0f%%)\n",
-                     100.0 * pin.transient_rel_dev_trbdf2,
+                     100.0 * pin.transient_rel_dev_modal,
                      100.0 * kTransientTolerance);
         return false;
     }
-    std::printf("transient pin: tr-bdf2 %.2e of a %.2f K rise vs the "
+    std::printf("transient pin: modal %.2e of a %.2f K rise vs the "
                 "RK4 oracle over one wire tau\n\n",
-                pin.transient_rel_dev_trbdf2, rise);
+                pin.transient_rel_dev_modal, rise);
     return true;
 }
 
@@ -210,7 +211,7 @@ main(int argc, char **argv)
     const std::string json_path = flags.get("json", "");
 
     bench::banner("thermal solver scaling (src/thermal + src/la)",
-                  "TR-BDF2 banded stepper vs the RK4 oracle on the "
+                  "exact modal update vs the RK4 oracle on the "
                   "wire-width ladder (equivalence-gated)");
 
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
@@ -226,10 +227,9 @@ main(int argc, char **argv)
 
     // ------------------------------------------------------------
     // Timed ladder: widths x solvers, ms per simulated interval.
-    // The TR-BDF2 cells pay one operator factorization per ladder
-    // rung on the first interval and three O(width) solves per step
-    // after that, with the step count following the transient; the
-    // RK4 cells pay duration / (0.2 tau_min) steps per interval
+    // The modal cells pay width exponentials on the first interval
+    // and two O(width log width) transforms per interval; the RK4
+    // cells pay duration / (0.2 tau_min) steps per interval
     // regardless of the horizon.
     // ------------------------------------------------------------
     const std::vector<unsigned> ladder =
@@ -243,7 +243,7 @@ main(int argc, char **argv)
     std::vector<Cell> cells;
     for (unsigned width : ladder) {
         for (ThermalSolver solver : {ThermalSolver::Rk4,
-                                     ThermalSolver::TrBdf2}) {
+                                     ThermalSolver::Modal}) {
             if (solver == ThermalSolver::Rk4 &&
                 width > rk4_max_width)
                 continue;
@@ -271,34 +271,34 @@ main(int argc, char **argv)
     }
 
     // ------------------------------------------------------------
-    // Acceptance: the widest TR-BDF2 cell must step a simulated
+    // Acceptance: the widest modal cell must step a simulated
     // interval faster than the narrowest RK4 oracle cell.
     // ------------------------------------------------------------
     const Cell *rk4_base = nullptr;
-    const Cell *implicit_cell = nullptr;
+    const Cell *modal_cell = nullptr;
     const unsigned max_width = ladder.back();
     for (const Cell &cell : cells) {
         if (cell.solver == ThermalSolver::Rk4 &&
             (!rk4_base || cell.width < rk4_base->width))
             rk4_base = &cell;
-        if (cell.solver == ThermalSolver::TrBdf2 &&
+        if (cell.solver == ThermalSolver::Modal &&
             cell.width == max_width)
-            implicit_cell = &cell;
+            modal_cell = &cell;
     }
-    if (!rk4_base || !implicit_cell)
+    if (!rk4_base || !modal_cell)
         fatal("perf_thermal: acceptance cells missing from ladder");
-    const bool accepted = implicit_cell->ms_per_interval <
+    const bool accepted = modal_cell->ms_per_interval <
                           rk4_base->ms_per_interval;
     const double speedup =
-        implicit_cell->ms_per_interval > 0.0
+        modal_cell->ms_per_interval > 0.0
             ? rk4_base->ms_per_interval /
-                  implicit_cell->ms_per_interval
+                  modal_cell->ms_per_interval
             : 0.0;
     std::printf("\nacceptance: %u-wire %s %.4f ms/interval vs "
                 "%u-wire rk4 %.4f ms/interval (%.1fx) — %s\n",
-                implicit_cell->width,
-                thermalSolverName(implicit_cell->solver),
-                implicit_cell->ms_per_interval, rk4_base->width,
+                modal_cell->width,
+                thermalSolverName(modal_cell->solver),
+                modal_cell->ms_per_interval, rk4_base->width,
                 rk4_base->ms_per_interval, speedup,
                 accepted ? "PASS" : "FAIL");
 
@@ -309,12 +309,12 @@ main(int argc, char **argv)
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "{\"steady_rel_err_rk4\": %.6e, "
-                  "\"steady_rel_err_trbdf2\": %.6e, "
+                  "\"steady_rel_err_modal\": %.6e, "
                   "\"steady_tolerance\": %.1e, "
-                  "\"transient_rel_dev_trbdf2\": %.6e, "
+                  "\"transient_rel_dev_modal\": %.6e, "
                   "\"passed\": %s}",
-                  pin.steady_rel_err_rk4, pin.steady_rel_err_trbdf2,
-                  kSteadyTolerance, pin.transient_rel_dev_trbdf2,
+                  pin.steady_rel_err_rk4, pin.steady_rel_err_modal,
+                  kSteadyTolerance, pin.transient_rel_dev_modal,
                   pin.passed ? "true" : "false");
     meta.addSection("equivalence", buf);
 
@@ -341,9 +341,9 @@ main(int argc, char **argv)
                   "\"rk4_width\": %u, "
                   "\"rk4_ms_per_interval\": %.4f, "
                   "\"speedup\": %.2f, \"passed\": %s}",
-                  implicit_cell->width,
-                  thermalSolverName(implicit_cell->solver),
-                  implicit_cell->ms_per_interval, rk4_base->width,
+                  modal_cell->width,
+                  thermalSolverName(modal_cell->solver),
+                  modal_cell->ms_per_interval, rk4_base->width,
                   rk4_base->ms_per_interval, speedup,
                   accepted ? "true" : "false");
     meta.addSection("acceptance", buf);

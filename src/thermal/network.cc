@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <numbers>
 #include <numeric>
 
 #include "util/contracts.hh"
+#include "util/faultinject.hh"
 #include "util/logging.hh"
 
 namespace nanobus {
@@ -26,7 +29,7 @@ thermalSolverName(ThermalSolver solver)
 {
     switch (solver) {
       case ThermalSolver::Rk4:    return "rk4";
-      case ThermalSolver::TrBdf2: return "tr-bdf2";
+      case ThermalSolver::Modal:  return "modal";
     }
     return "unknown";
 }
@@ -36,8 +39,8 @@ parseThermalSolver(const std::string &name)
 {
     if (name == "rk4")
         return ThermalSolver::Rk4;
-    if (name == "tr-bdf2" || name == "trbdf2")
-        return ThermalSolver::TrBdf2;
+    if (name == "modal")
+        return ThermalSolver::Modal;
     return std::nullopt;
 }
 
@@ -47,8 +50,7 @@ ThermalNetwork::ThermalNetwork(const TechnologyNode &tech,
     : num_wires_(num_wires), config_(config), params_(tech),
       solver_(num_wires +
               (config.stack_mode == StackMode::Dynamic ? 1 : 0)),
-      trbdf2_(num_wires +
-              (config.stack_mode == StackMode::Dynamic ? 1 : 0))
+      dct_(num_wires)
 {
     if (num_wires == 0)
         fatal("ThermalNetwork: bus must have at least one wire");
@@ -78,9 +80,26 @@ ThermalNetwork::ThermalNetwork(const TechnologyNode &tech,
     dt_ = config_.max_dt.raw() > 0.0 ? config_.max_dt.raw()
                                      : deriveRk4Step();
 
-    assembleJacobian();
-    forcing_.assign(solver_.dimension(), 0.0);
+    // Mode k of the Neumann path Laplacian has eigenvalue
+    // 2 − 2cos(πk/N) = 4 sin²(πk/2N); the sine form keeps the slow
+    // modes' small eigenvalues accurate.
+    const double g_self = 1.0 / r_self_;
+    const double g_lat =
+        config_.lateral_coupling ? 1.0 / r_lateral_ : 0.0;
+    mode_conductance_.resize(num_wires_);
+    for (unsigned k = 0; k < num_wires_; ++k) {
+        const double s = std::sin(std::numbers::pi * k /
+                                  (2.0 * num_wires_));
+        mode_conductance_[k] = g_self + g_lat * 4.0 * s * s;
+    }
+    decay_.resize(num_wires_);
+    rises_.resize(num_wires_);
+    modes_.resize(num_wires_);
+    power_modes_.resize(num_wires_);
+    target_.resize(num_wires_);
+
     state_.assign(solver_.dimension(), config_.ambient.raw());
+    next_.resize(state_.size());
 }
 
 double
@@ -112,142 +131,141 @@ ThermalNetwork::deriveRk4Step() const
     return step;
 }
 
-void
-ThermalNetwork::assembleJacobian()
-{
-    const bool dyn = dynamicStack();
-    jacobian_ = dyn ? BandedMatrix::bordered(num_wires_)
-                    : BandedMatrix::tridiagonal(num_wires_);
-
-    const double g_self = 1.0 / r_self_;
-    const double g_lat =
-        config_.lateral_coupling ? 1.0 / r_lateral_ : 0.0;
-
-    for (unsigned i = 0; i < num_wires_; ++i) {
-        double g_total = g_self;
-        if (g_lat > 0.0) {
-            if (i > 0) {
-                g_total += g_lat;
-                jacobian_.lower(i - 1) = g_lat / c_wire_;  // a(i, i-1)
-            }
-            if (i + 1 < num_wires_) {
-                g_total += g_lat;
-                jacobian_.upper(i) = g_lat / c_wire_;      // a(i, i+1)
-            }
-        }
-        jacobian_.diag(i) = -g_total / c_wire_;
-        if (dyn)
-            jacobian_.borderCol(i) = g_self / c_wire_;
-    }
-
-    if (dyn) {
-        const double g_stack = 1.0 / config_.stack_resistance.raw();
-        for (unsigned i = 0; i < num_wires_; ++i)
-            jacobian_.borderRow(i) = g_self / c_stack_;
-        jacobian_.corner() =
-            -(static_cast<double>(num_wires_) * g_self + g_stack) /
-            c_stack_;
-    }
-}
-
-void
-ThermalNetwork::buildForcing(const std::vector<double> &power)
-{
-    const bool dyn = dynamicStack();
-    const double g_self = 1.0 / r_self_;
-    const double ref = dyn ? 0.0 : referenceTemperature();
-
-    for (unsigned i = 0; i < num_wires_; ++i) {
-        forcing_[i] = power[i] / c_wire_;
-        if (!dyn)
-            forcing_[i] += g_self * ref / c_wire_;
-    }
-    if (dyn) {
-        const double g_stack = 1.0 / config_.stack_resistance.raw();
-        forcing_[num_wires_] =
-            (p_lower_ + g_stack * config_.ambient.raw()) / c_stack_;
-    }
-}
-
-const BandedFactorization *
-ThermalNetwork::rungFactor(double duration, unsigned rung, Error &error)
-{
-    if (duration != rung_duration_) {
-        rung_factors_.clear();
-        rung_duration_ = duration;
-    }
-    if (rung < rung_factors_.size() && rung_factors_[rung])
-        return rung_factors_[rung].get();
-
-    // M = I - (γh/2) A shares the Jacobian's structure. A is a
-    // (weakly diagonally dominant) M-matrix, so M is *strictly*
-    // diagonally dominant for any h > 0 — exactly the la/banded
-    // no-pivoting contract.
-    const double c = TrBdf2Solver<BandedFactorization>::kOperatorScale *
-        std::ldexp(duration, -static_cast<int>(rung));
-    BandedMatrix m = dynamicStack()
-        ? BandedMatrix::bordered(num_wires_)
-        : BandedMatrix::tridiagonal(num_wires_);
-    for (unsigned i = 0; i < num_wires_; ++i) {
-        m.diag(i) = 1.0 - c * jacobian_.diag(i);
-        if (i + 1 < num_wires_) {
-            m.upper(i) = -c * jacobian_.upper(i);
-            m.lower(i) = -c * jacobian_.lower(i);
-        }
-        if (dynamicStack()) {
-            m.borderCol(i) = -c * jacobian_.borderCol(i);
-            m.borderRow(i) = -c * jacobian_.borderRow(i);
-        }
-    }
-    if (dynamicStack())
-        m.corner() = 1.0 - c * jacobian_.corner();
-
-    Result<BandedFactorization> factor =
-        BandedFactorization::tryFactor(std::move(m));
-    if (!factor.ok()) {
-        error = Error{factor.error().code,
-                      "TR-BDF2 operator: " + factor.error().message};
-        return nullptr;
-    }
-    if (rung >= rung_factors_.size())
-        rung_factors_.resize(rung + 1);
-    rung_factors_[rung] =
-        std::make_unique<BandedFactorization>(factor.takeValue());
-    return rung_factors_[rung].get();
-}
-
 IntegrationReport
 ThermalNetwork::integrateInterval(const std::vector<double> &power,
                                   double duration)
 {
-    IntegrationReport report;
-    if (config_.solver == ThermalSolver::Rk4) {
-        auto deriv = [this, &power](double,
-                                    const std::vector<double> &y,
-                                    std::vector<double> &dydt) {
-            derivative(y, dydt, power);
-        };
-        report = solver_.integrateChecked(
-            deriv, 0.0, duration, dt_, state_,
-            config_.max_integration_retries);
-    } else {
-        // The ladder restarts at one full-interval step every call,
-        // so the steps depend only on (state, power, duration); the
-        // rung cache only saves refactoring across equal intervals.
-        buildForcing(power);
-        auto factor_for = [this, duration](unsigned rung,
-                                           Error &error) {
-            return rungFactor(duration, rung, error);
-        };
-        auto apply = [this](const std::vector<double> &y,
-                            std::vector<double> &ay) {
-            jacobian_.multiply(y, ay);
-        };
-        report = trbdf2_.integrate(factor_for, apply, forcing_,
-                                   duration, kStepTolerance, state_);
+    if (config_.solver == ThermalSolver::Modal)
+        return integrateModal(power, duration);
+    auto deriv = [this, &power](double, const std::vector<double> &y,
+                                std::vector<double> &dydt) {
+        derivative(y, dydt, power);
+    };
+    return solver_.integrateChecked(deriv, 0.0, duration, dt_, state_,
+                                    config_.max_integration_retries);
+}
+
+void
+ThermalNetwork::prepareDecay(double duration)
+{
+    decay_duration_ = duration;
+    for (unsigned k = 0; k < num_wires_; ++k)
+        decay_[k] = std::exp(-mode_conductance_[k] / c_wire_ * duration);
+    if (!dynamicStack())
+        return;
+
+    // (X_0, stack) obeys d/dt y = M y + f with
+    //   M = [[−g/C, g√N/C], [g√N/C_s, −(N g + g_stack)/C_s]]
+    // (g = g_self, X_0 = √N · mean wire rise). Scaling by √C and √C_s
+    // makes it symmetric, S = [[a, b], [b, d]]; one Jacobi rotation
+    // diagonalizes S stably, and e^(Mh) = D^(−1/2) e^(Sh) D^(1/2)
+    // with D = diag(C, C_s).
+    const double g = 1.0 / r_self_;
+    const double n = static_cast<double>(num_wires_);
+    const double g_stack = 1.0 / config_.stack_resistance.raw();
+    const double a = -g / c_wire_;
+    const double d = -(n * g + g_stack) / c_stack_;
+    const double b = g * std::sqrt(n / (c_wire_ * c_stack_));
+    const double tau = (d - a) / (2.0 * b);
+    const double t = (tau >= 0.0 ? 1.0 : -1.0) /
+        (std::fabs(tau) + std::hypot(1.0, tau));
+    const double c = 1.0 / std::hypot(1.0, t);
+    const double s = t * c;
+    const double l1 = a - t * b;  // eigenvector (c, −s)
+    const double l2 = d + t * b;  // eigenvector (s, c)
+    const double e1 = std::exp(l1 * duration);
+    const double e2 = std::exp(l2 * duration);
+    // e2 − e1 from the larger exponential, without cancellation.
+    const double gap = std::fabs(l2 - l1) * duration;
+    const double diff = l2 >= l1 ? -e2 * std::expm1(-gap)
+                                 : e1 * std::expm1(-gap);
+    const double off = c * s * diff;
+    const double scale = std::sqrt(c_stack_ / c_wire_);
+    mean_stack_decay_[0][0] = c * c * e1 + s * s * e2;
+    mean_stack_decay_[0][1] = off * scale;
+    mean_stack_decay_[1][0] = off / scale;
+    mean_stack_decay_[1][1] = s * s * e1 + c * c * e2;
+}
+
+double
+ThermalNetwork::modalTargets(std::span<const double> q,
+                             std::span<double> target) const
+{
+    for (unsigned k = 0; k < num_wires_; ++k)
+        target[k] = q[k] / mode_conductance_[k];
+    // The reference enters only the mean mode, X_0 = √N · mean rise.
+    const double root_n = std::sqrt(static_cast<double>(num_wires_));
+    if (!dynamicStack()) {
+        target[0] += root_n *
+            (referenceTemperature() - config_.ambient.raw());
+        return 0.0;
     }
-    step_counts_.accepted += report.steps;
-    step_counts_.rejected += report.retries;
+    // Every watt, the lower layers' p_lower and the bus's own
+    // Σ P = √N Q_0, leaves through the stack resistance.
+    const double stack =
+        (p_lower_ + root_n * q[0]) * config_.stack_resistance.raw();
+    target[0] += root_n * stack;
+    return stack;
+}
+
+std::vector<double>
+ThermalNetwork::wireTemperatures(std::span<const double> target,
+                                 Dct::Workspace &work) const
+{
+    std::vector<double> theta(num_wires_);
+    dct_.inverse(target, theta, work);
+    for (double &t : theta)
+        t += config_.ambient.raw();
+    return theta;
+}
+
+IntegrationReport
+ThermalNetwork::integrateModal(const std::vector<double> &power,
+                               double duration)
+{
+    if (duration != decay_duration_)
+        prepareDecay(duration);
+
+    const double ambient = config_.ambient.raw();
+    for (unsigned i = 0; i < num_wires_; ++i)
+        rises_[i] = state_[i] - ambient;
+    dct_.forward(rises_, power, modes_, power_modes_, dct_work_);
+    const double stack_target = modalTargets(power_modes_, target_);
+
+    for (unsigned k = dynamicStack() ? 1 : 0; k < num_wires_; ++k)
+        modes_[k] = target_[k] + decay_[k] * (modes_[k] - target_[k]);
+    double stack = 0.0;
+    if (dynamicStack()) {
+        const double mean_dev = modes_[0] - target_[0];
+        const double stack_dev = state_.back() - ambient - stack_target;
+        const auto &e = mean_stack_decay_;
+        modes_[0] = target_[0] + e[0][0] * mean_dev + e[0][1] * stack_dev;
+        stack = stack_target + e[1][0] * mean_dev + e[1][1] * stack_dev;
+    }
+
+    dct_.inverse(modes_, std::span<double>(next_).first(num_wires_),
+                 dct_work_);
+    for (unsigned i = 0; i < num_wires_; ++i)
+        next_[i] += ambient;
+    if (dynamicStack())
+        next_.back() = ambient + stack;
+    if (FaultInjector::active() &&
+        FaultInjector::instance().fireCallFault(
+            FaultSite::IntegrationStep))
+        next_[0] = std::numeric_limits<double>::quiet_NaN();
+
+    IntegrationReport report;
+    if (!std::all_of(next_.begin(), next_.end(),
+                     [](double t) { return std::isfinite(t); })) {
+        report.ok = false;
+        report.error = Error{ErrorCode::NonFinite,
+                             "modal update produced a non-finite "
+                             "state; the interval was not committed"};
+        return report;
+    }
+    state_.swap(next_);
+    report.steps = 1;
+    report.completed_time = duration;
     return report;
 }
 
@@ -462,7 +480,12 @@ ThermalNetwork::advanceChecked(
     double max_temp = maxTemperatureRaw();
     if (config_.divergence_streak > 0 &&
         max_temp > last_max_temp_ + 1e-9) {
-        std::vector<double> ss = steadyState(power_per_metre);
+        // Modal already holds this power's steady modes: one inverse
+        // transform instead of a fresh forward one.
+        std::vector<double> ss =
+            config_.solver == ThermalSolver::Modal
+                ? wireTemperatures(target_, dct_work_)
+                : steadyState(power_per_metre);
         double ss_max = *std::max_element(ss.begin(), ss.end());
         const double margin =
             5.0 + 1e-6 * std::fabs(ss_max); // [K]
@@ -506,53 +529,11 @@ ThermalNetwork::steadyState(
         fatal("ThermalNetwork::steadyState: %zu powers for %u wires",
               power_per_metre.size(), num_wires_);
 
-    // The conductance system G theta = b shares the Jacobian's
-    // bordered-band structure (G = -C A with C the diagonal
-    // capacitance matrix), so the direct solve is O(width) — cheap
-    // enough for the divergence guard to call per advance.
-    const bool dyn = dynamicStack();
-    BandedMatrix g = dyn ? BandedMatrix::bordered(num_wires_)
-                         : BandedMatrix::tridiagonal(num_wires_);
-    std::vector<double> b(num_wires_ + (dyn ? 1 : 0), 0.0);
-
-    const double g_self = 1.0 / r_self_;
-    const double g_lat =
-        config_.lateral_coupling ? 1.0 / r_lateral_ : 0.0;
-    const double ref = dyn ? 0.0 : referenceTemperature();
-
-    for (unsigned i = 0; i < num_wires_; ++i) {
-        double diag = g_self;
-        if (dyn)
-            g.borderCol(i) = -g_self;
-        else
-            b[i] += g_self * ref;
-        if (g_lat > 0.0) {
-            if (i > 0) {
-                diag += g_lat;
-                g.lower(i - 1) = -g_lat;   // a(i, i-1)
-            }
-            if (i + 1 < num_wires_) {
-                diag += g_lat;
-                g.upper(i) = -g_lat;       // a(i, i+1)
-            }
-        }
-        g.diag(i) = diag;
-        b[i] += power_per_metre[i];
-    }
-
-    if (dyn) {
-        const double g_stack = 1.0 / config_.stack_resistance.raw();
-        for (unsigned i = 0; i < num_wires_; ++i)
-            g.borderRow(i) = -g_self;
-        g.corner() =
-            g_stack + static_cast<double>(num_wires_) * g_self;
-        b[num_wires_] = g_stack * config_.ambient.raw() + p_lower_;
-    }
-
-    BandedFactorization factor(std::move(g));
-    std::vector<double> solution = factor.solve(b);
-    solution.resize(num_wires_);
-    return solution;
+    Dct::Workspace work;
+    std::vector<double> q(num_wires_), target(num_wires_);
+    dct_.forward(power_per_metre, q, work);
+    modalTargets(q, target);
+    return wireTemperatures(target, work);
 }
 
 } // namespace nanobus

@@ -2,22 +2,25 @@
  * @file
  * Thermal-RC network for a bus (Sec 4.1, Eqs 3-4 of the paper).
  *
- * Every wire is a thermal node with capacitance C_i, a resistance R_i
- * toward the layers below, and lateral resistances R_inter to its
- * adjacent wires. Eq 3 (edge wires, one neighbor) and Eq 4 (middle
- * wires, two neighbors) form the linear system dθ/dt = A θ + b whose
- * Jacobian A is tridiagonal (nearest-neighbor lateral coupling) plus,
- * in StackMode::Dynamic, one dense row/column for the shared stack
- * node — exactly la/banded's bordered form.
+ * Every wire is a thermal node with capacitance C, a resistance
+ * R_self toward the layers below, and lateral resistances R_inter to
+ * its adjacent wires — the same three values for every wire. Eq 3
+ * (edge wires, one neighbor) and Eq 4 (middle wires, two neighbors)
+ * form the linear system dθ/dt = A θ + b whose wire block is
+ * −(g_self/C)·I − (g_lat/C)·L, with L the path Laplacian with Neumann
+ * ends; in StackMode::Dynamic one shared stack node couples to every
+ * wire through the same g_self.
  *
  * Two integrators step it (ThermalConfig::solver; docs/THERMAL.md):
  *
- *  - ThermalSolver::TrBdf2 — the default: L-stable, second-order
- *    TR-BDF2 over the pre-factored banded operator I - (γh/2)·A,
- *    error-controlled to kStepTolerance. Step widths come from the
- *    dyadic ladder duration / 2^k, so a quiet interval costs one or
- *    two steps however stiff the network, which is what makes
- *    full-width 10k-wire buses steppable (bench/perf_thermal).
+ *  - ThermalSolver::Modal — the default: the exact solution of the
+ *    interval under constant power. The orthonormal DCT-II (la/dct)
+ *    diagonalizes L with eigenvalues λ_k = 2 − 2cos(πk/N), so every
+ *    mode k >= 1 relaxes on its own, X_k ← X*_k + e^(−μ_k h)(X_k −
+ *    X*_k) with μ_k = (g_self + g_lat λ_k)/C. The stack touches only
+ *    the mean mode k = 0, so (mean, stack) moves by a closed-form
+ *    2×2 exponential. No step, tolerance or factorization: two
+ *    O(N log N) transforms per interval whatever its length.
  *  - ThermalSolver::Rk4 — classical RK4, the method the paper uses
  *    and the test oracle. Explicit, so the step width is bounded by
  *    the stiffest wire time constant regardless of the horizon.
@@ -38,12 +41,12 @@
 #define NANOBUS_THERMAL_NETWORK_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "la/banded.hh"
+#include "la/dct.hh"
 #include "tech/technology.hh"
 #include "thermal/wire_thermal.hh"
 #include "util/ode.hh"
@@ -65,7 +68,8 @@ namespace nanobus {
 struct ThermalFault
 {
     enum class Kind {
-        /** RK4 produced NaN/inf even after exhausting step halvings. */
+        /** The integration produced NaN/inf (RK4 even after
+         *  exhausting its step halvings). */
         NonFinite,
         /** A node crossed the configured temperature ceiling. */
         Ceiling,
@@ -98,25 +102,25 @@ enum class StackMode {
 
 /**
  * Which integrator advances the network (docs/THERMAL.md has the
- * selection guidance in full).
+ * selection guidance in full). The values are the checkpoint solver
+ * tags: 1 belonged to the retired TR-BDF2 and is never reused, so a
+ * checkpoint taken under it is refused instead of resumed.
  *
  *  - Rk4: the paper's method and the equivalence oracle. Cost per
  *    interval grows with interval / (0.2 τ_min) — stiffness-bound.
- *  - TrBdf2: L-stable second-order implicit with local-error control
- *    (ThermalNetwork::kStepTolerance). Cost per interval: three
- *    O(width) solves per accepted or rejected step, and the step
- *    count follows the transient, not the stiffness.
+ *  - Modal: the exact interval update. Cost per interval: two
+ *    O(N log N) transforms, whatever the interval's length.
  */
 enum class ThermalSolver {
-    Rk4,
-    TrBdf2,
+    Rk4 = 0,
+    Modal = 2,
 };
 
-/** Readable solver name ("rk4" / "tr-bdf2"). */
+/** Readable solver name ("rk4" / "modal"). */
 const char *thermalSolverName(ThermalSolver solver);
 
 /** Parse a solver name as accepted by bench --solver flags: "rk4",
- *  "tr-bdf2"/"trbdf2". */
+ *  "modal". */
 std::optional<ThermalSolver> parseThermalSolver(
     const std::string &name);
 
@@ -136,9 +140,9 @@ struct ThermalConfig
     KelvinMetersPerWatt stack_resistance{0.05};
     /** Stack time constant (Dynamic mode); sets the Fig 4 ramp. */
     Seconds stack_time_constant{0.020};
-    /** Integrator stepping the network. TrBdf2 is the default;
+    /** Integrator stepping the network. Modal is the default;
      *  Rk4 is the paper-faithful oracle (see ThermalSolver). */
-    ThermalSolver solver = ThermalSolver::TrBdf2;
+    ThermalSolver solver = ThermalSolver::Modal;
     /**
      * RK4 step ceiling; 0 = derive from network stiffness as
      * 0.2 τ_min (τ_min the fastest node time constant). Gershgorin
@@ -148,7 +152,7 @@ struct ThermalConfig
      * asserted in the constructor and revalidated by reset().
      * A *user-supplied* ceiling is taken as-is (tests deliberately
      * exceed the bound to exercise the divergence guard). Ignored
-     * by TrBdf2.
+     * by Modal.
      */
     Seconds max_dt;
     /**
@@ -174,25 +178,6 @@ struct ThermalConfig
 class ThermalNetwork
 {
   public:
-    /**
-     * TR-BDF2 local-error tolerance [K]: the max-norm over all nodes
-     * of every accepted step's filtered error estimate. A constant,
-     * not a knob: it holds the end-to-end deviation from the RK4
-     * oracle well under a millikelvin (docs/THERMAL.md §3).
-     */
-    static constexpr double kStepTolerance = 1e-4;
-
-    /** Integration steps taken since construction (diagnostics; not
-     *  part of the snapshot state). */
-    struct StepCounts
-    {
-        /** Accepted steps. */
-        uint64_t accepted = 0;
-        /** Rejected steps: TR-BDF2 error-test failures, or RK4
-         *  halvings after a non-finite state. */
-        uint64_t rejected = 0;
-    };
-
     /**
      * @param tech Technology node (geometry + dielectric).
      * @param num_wires Bus width (>= 1).
@@ -249,30 +234,21 @@ class ThermalNetwork
 
     /**
      * Steady-state wire temperatures [K] under constant per-wire
-     * power [W/m] — a direct O(width) banded solve of the
-     * conductance system G θ = b, used to validate the transient
-     * integration and by the divergence guard.
+     * power [W/m]: the conductance system G θ = b solved per mode
+     * (one division each between a forward and an inverse DCT), used
+     * to validate the transient integration and by the divergence
+     * guard.
      */
     std::vector<double> steadyState(
         const std::vector<double> &power_per_metre) const;
 
     /** The RK4 step width in use (stability-derived or the
-     *  max_dt override; see ThermalConfig::max_dt). TrBdf2 ignores
-     *  it — its steps come from the error-controlled ladder. */
+     *  max_dt override; see ThermalConfig::max_dt). Modal ignores
+     *  it — it crosses every interval in one exact update. */
     Seconds stepWidth() const { return Seconds{dt_}; }
 
     /** The integrator in use. */
     ThermalSolver solver() const { return config_.solver; }
-
-    /** Steps taken so far by either solver. */
-    const StepCounts &stepCounts() const { return step_counts_; }
-
-    /**
-     * The network Jacobian A of dθ/dt = A θ + b, assembled once at
-     * construction in bordered-banded form [1/s]: tridiagonal over
-     * the wires, plus the dense stack row/column in Dynamic mode.
-     */
-    const BandedMatrix &jacobian() const { return jacobian_; }
 
     /**
      * Full mutable state, for checkpoint/resume (sim/snapshot.hh):
@@ -321,23 +297,30 @@ class ThermalNetwork
      *  so reset() can revalidate it (see ThermalConfig::max_dt). */
     double deriveRk4Step() const;
 
-    /** Build jacobian_ (bordered-banded A of dθ/dt = A θ + b). */
-    void assembleJacobian();
-
-    /** Fill forcing_ with b for the given per-wire power [W/m]. */
-    void buildForcing(const std::vector<double> &power);
-
-    /** The factored TR-BDF2 operator I - (γh/2)·A for
-     *  h = duration / 2^rung, from the rung cache (rebuilt when the
-     *  duration changes); null with `error` filled on failure. */
-    const BandedFactorization *rungFactor(double duration,
-                                          unsigned rung, Error &error);
-
     /** Shared integration dispatch for advance()/advanceChecked():
      *  steps state_ by `duration` under `power` with the configured
      *  solver, reporting through the IntegrationReport taxonomy. */
     [[nodiscard]] IntegrationReport integrateInterval(
         const std::vector<double> &power, double duration);
+
+    /** The exact modal update of state_ over `duration`. Computes
+     *  into next_ and commits only a finite result. */
+    [[nodiscard]] IntegrationReport integrateModal(
+        const std::vector<double> &power, double duration);
+
+    /** Per-mode steady targets for the power modes `q`: wire-mode
+     *  rises above ambient into `target`, the stack's rise returned
+     *  (Dynamic mode; 0 otherwise). */
+    double modalTargets(std::span<const double> q,
+                        std::span<double> target) const;
+
+    /** Wire temperatures [K] of the modal rises `target`: one
+     *  inverse DCT. */
+    std::vector<double> wireTemperatures(std::span<const double> target,
+                                         Dct::Workspace &work) const;
+
+    /** Refresh the per-mode decay factors for interval `duration`. */
+    void prepareDecay(double duration);
 
     unsigned num_wires_;
     ThermalConfig config_;
@@ -353,16 +336,20 @@ class ThermalNetwork
     std::vector<double> state_;  // wires, then optional stack node
     Rk4Solver solver_;
 
-    /** Structured system for TR-BDF2 and steadyState(): assembled
-     *  once, factored per ladder rung. */
-    BandedMatrix jacobian_;
-    std::vector<double> forcing_;
-    TrBdf2Solver<BandedFactorization> trbdf2_;
-    /** rung_factors_[k] factors the operator for duration / 2^k;
-     *  null until first used. Valid for rung_duration_ only. */
-    std::vector<std::unique_ptr<BandedFactorization>> rung_factors_;
-    double rung_duration_ = 0.0;
-    StepCounts step_counts_;
+    // Modal update. mode_conductance_[k] = g_self + g_lat λ_k
+    // [W/(K m)]; the decay factors are a pure function of
+    // decay_duration_, so they never carry history between calls.
+    Dct dct_;
+    Dct::Workspace dct_work_;
+    std::vector<double> mode_conductance_;
+    double decay_duration_ = 0.0;
+    std::vector<double> decay_;       // e^(−μ_k h) per wire mode
+    double mean_stack_decay_[2][2] = {};  // Dynamic: (X_0, stack)
+    std::vector<double> rises_;       // wire rises above ambient
+    std::vector<double> modes_;       // their DCT, updated in place
+    std::vector<double> power_modes_;
+    std::vector<double> target_;      // last interval's steady modes
+    std::vector<double> next_;        // candidate state
 
     // Divergence tracking across advanceChecked() calls.
     double last_max_temp_ = 0.0;

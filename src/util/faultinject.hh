@@ -3,13 +3,14 @@
  * Deterministic fault-injection harness for the solver stack.
  *
  * Robustness claims are only as good as their tests: every recovery
- * path (LU singularity handling, RK4 non-finite retries, trace-line
- * skipping) must be provably reachable and provably recovering. The
- * FaultInjector lets tests arm faults that fire at exact,
- * reproducible points:
+ * path (LU singularity handling, thermal non-finite containment,
+ * trace-line skipping) must be provably reachable and provably
+ * recovering. The FaultInjector lets tests arm faults that fire at
+ * exact, reproducible points:
  *
  *  - force a solver failure on the Nth call to a given site
- *    (LuFactorization::tryFactor/trySolve, Rk4Solver stepping);
+ *    (LuFactorization::tryFactor/trySolve, thermal integration
+ *    steps);
  *  - flip a bit in the Nth raw trace line read by TraceReader;
  *  - deterministically perturb matrix entries (seeded xoshiro).
  *
@@ -38,8 +39,10 @@ enum class FaultSite : unsigned {
     LuFactor = 0,
     /** LuFactorization::trySolve. */
     LuSolve,
-    /** One accepted RK4 step inside integrateChecked. */
-    Rk4Step,
+    /** One thermal integration step: each RK4 step inside
+     *  Rk4Solver::integrateChecked, and each modal interval update
+     *  of ThermalNetwork. Firing poisons the step's result. */
+    IntegrationStep,
     /** One raw line read by TraceReader::next. */
     TraceLine,
     /**

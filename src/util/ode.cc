@@ -122,7 +122,8 @@ Rk4Solver::integrateChecked(const Derivative &f, double t,
         backup_ = y;
         step(f, t_cur, step_dt, y);
         if (FaultInjector::active() &&
-            FaultInjector::instance().fireCallFault(FaultSite::Rk4Step))
+            FaultInjector::instance().fireCallFault(
+                FaultSite::IntegrationStep))
             y[0] = std::numeric_limits<double>::quiet_NaN();
         if (allFinite(y)) {
             for (double d : k1_)

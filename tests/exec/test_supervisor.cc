@@ -285,7 +285,7 @@ TEST_F(SupervisorTest, ThermalFaultProbeQuarantinesInjectedRk4Fault)
     // quarantined after exactly one attempt. The trigger repeats, so
     // every interval close of the shard is hit.
     BusSimConfig config = sweepConfig();
-    config.thermal.solver = ThermalSolver::Rk4; // RK4-only fault site
+    config.thermal.solver = ThermalSolver::Rk4; // halving disabled below
     config.thermal.max_integration_retries = 0;
 
     exec::ThreadPool pool(4);
@@ -293,7 +293,7 @@ TEST_F(SupervisorTest, ThermalFaultProbeQuarantinesInjectedRk4Fault)
     options.fault_probe = thermalFaultProbe();
     exec::Supervisor supervisor(pool, options);
 
-    FaultInjector::instance().armCallFault(FaultSite::Rk4Step, 1, 1);
+    FaultInjector::instance().armCallFault(FaultSite::IntegrationStep, 1, 1);
     const exec::SupervisedReport sup = supervisor.run(
         {supervisedTraceSweepJob("shard0", path_, tech130, config)});
     FaultInjector::instance().reset();
@@ -314,12 +314,12 @@ TEST_F(SupervisorTest, ContainedFaultsDoNotFailJobWithoutProbe)
     // No probe: contained thermal faults degrade fidelity and stay
     // visible in the job's report, but the job ends Ok.
     BusSimConfig config = sweepConfig();
-    config.thermal.solver = ThermalSolver::Rk4; // RK4-only fault site
+    config.thermal.solver = ThermalSolver::Rk4; // halving disabled below
     config.thermal.max_integration_retries = 0;
 
     exec::ThreadPool pool(2);
     exec::Supervisor supervisor(pool);
-    FaultInjector::instance().armCallFault(FaultSite::Rk4Step, 1, 1);
+    FaultInjector::instance().armCallFault(FaultSite::IntegrationStep, 1, 1);
     const exec::SupervisedReport run = supervisor.run(
         {supervisedTraceSweepJob("tolerant", path_, tech130, config)});
     FaultInjector::instance().reset();

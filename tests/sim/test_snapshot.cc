@@ -17,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.hh"
@@ -378,26 +379,76 @@ TEST_F(SnapshotTest, SchemeMismatchIsInvalidArgument)
 
 TEST_F(SnapshotTest, ThermalSolverMismatchIsInvalidArgument)
 {
-    // A checkpoint taken under the RK4 oracle must not resume under
-    // TR-BDF2: the resumed run would silently mix integrators.
+    // A checkpoint taken under one integrator must not resume under
+    // the other: the resumed run would silently mix integrators.
+    for (auto [from, to] :
+         {std::pair{ThermalSolver::Rk4, ThermalSolver::Modal},
+          std::pair{ThermalSolver::Modal, ThermalSolver::Rk4}}) {
+        SCOPED_TRACE(thermalSolverName(from));
+        BusSimConfig saved_config = simConfig(EncodingScheme::BusInvert);
+        saved_config.thermal.solver = from;
+        TwinBusSimulator saved(tech130, saved_config);
+        ASSERT_TRUE(
+            saveTwinCheckpoint(ckpt_, saved, SimCheckpoint{}).ok());
+
+        BusSimConfig other_config = saved_config;
+        other_config.thermal.solver = to;
+        TwinBusSimulator other(tech130, other_config);
+        Result<SimCheckpoint> loaded = loadTwinCheckpoint(ckpt_, other);
+        ASSERT_FALSE(loaded.ok());
+        EXPECT_EQ(loaded.error().code, ErrorCode::InvalidArgument);
+        EXPECT_NE(loaded.error().message.find(
+                      "'" + std::string(thermalSolverName(from)) +
+                      "' thermal solver"),
+                  std::string::npos)
+            << loaded.error().message;
+
+        TwinBusSimulator same(tech130, saved_config);
+        EXPECT_TRUE(loadTwinCheckpoint(ckpt_, same).ok());
+    }
+}
+
+TEST_F(SnapshotTest, RetiredThermalSolverTagIsInvalidArgument)
+{
+    // Tag 1 belonged to TR-BDF2, which no longer exists. A payload
+    // carrying it resumes under neither integrator. The RK4 (tag 0)
+    // and Modal (tag 2) payloads of a fresh twin differ only in the
+    // tag words, so rewriting those bytes forges the retired tag.
     BusSimConfig rk4 = simConfig(EncodingScheme::BusInvert);
     rk4.thermal.solver = ThermalSolver::Rk4;
-    TwinBusSimulator saved(tech130, rk4);
-    ASSERT_TRUE(
-        saveTwinCheckpoint(ckpt_, saved, SimCheckpoint{}).ok());
+    BusSimConfig modal = rk4;
+    modal.thermal.solver = ThermalSolver::Modal;
+    Result<std::string> rk4_payload =
+        encodeTwinSnapshot(TwinBusSimulator(tech130, rk4),
+                           SimCheckpoint{});
+    Result<std::string> modal_payload =
+        encodeTwinSnapshot(TwinBusSimulator(tech130, modal),
+                           SimCheckpoint{});
+    ASSERT_TRUE(rk4_payload.ok() && modal_payload.ok());
+    std::string retired = rk4_payload.value();
+    ASSERT_EQ(retired.size(), modal_payload.value().size());
+    size_t tags = 0;
+    for (size_t i = 0; i < retired.size(); ++i) {
+        if (retired[i] != modal_payload.value()[i]) {
+            ASSERT_EQ(retired[i], '\0');
+            ASSERT_EQ(modal_payload.value()[i], '\2');
+            retired[i] = '\1';
+            ++tags;
+        }
+    }
+    EXPECT_EQ(tags, 2u);  // one per bus
 
-    BusSimConfig trbdf2 = rk4;
-    trbdf2.thermal.solver = ThermalSolver::TrBdf2;
-    TwinBusSimulator other(tech130, trbdf2);
-    Result<SimCheckpoint> loaded = loadTwinCheckpoint(ckpt_, other);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().code, ErrorCode::InvalidArgument);
-    EXPECT_NE(loaded.error().message.find("'rk4' thermal solver"),
-              std::string::npos)
-        << loaded.error().message;
-
-    TwinBusSimulator same(tech130, rk4);
-    EXPECT_TRUE(loadTwinCheckpoint(ckpt_, same).ok());
+    for (const BusSimConfig &config : {rk4, modal}) {
+        SCOPED_TRACE(thermalSolverName(config.thermal.solver));
+        TwinBusSimulator victim(tech130, config);
+        SimCheckpoint cursor;
+        Status decoded = decodeTwinSnapshot(retired, victim, cursor);
+        ASSERT_FALSE(decoded.ok());
+        EXPECT_EQ(decoded.error().code, ErrorCode::InvalidArgument);
+        EXPECT_NE(decoded.error().message.find("thermal solver"),
+                  std::string::npos)
+            << decoded.error().message;
+    }
 }
 
 TEST_F(SnapshotTest, TrailingBytesAreParseError)

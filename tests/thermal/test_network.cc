@@ -2,7 +2,7 @@
  * @file
  * Tests for the thermal-RC network (Eqs 3-4) and its integration.
  * Every transient test runs under both solvers — the RK4 oracle and
- * the TR-BDF2 default — at one shared tolerance.
+ * the exact modal default — at one shared tolerance.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,7 @@ namespace {
 const double ambient = 318.15;
 
 const ThermalSolver kSolvers[] = {ThermalSolver::Rk4,
-                                  ThermalSolver::TrBdf2};
+                                  ThermalSolver::Modal};
 
 ThermalConfig
 noStack(ThermalSolver solver, bool lateral = true)
@@ -110,8 +110,8 @@ TEST(ThermalNet, SteadyStateConservesHeat)
     for (auto [solver, mode] :
          {std::pair{ThermalSolver::Rk4, StackMode::None},
           std::pair{ThermalSolver::Rk4, StackMode::Static},
-          std::pair{ThermalSolver::TrBdf2, StackMode::None},
-          std::pair{ThermalSolver::TrBdf2, StackMode::Static}}) {
+          std::pair{ThermalSolver::Modal, StackMode::None},
+          std::pair{ThermalSolver::Modal, StackMode::Static}}) {
         SCOPED_TRACE(thermalSolverName(solver));
         SCOPED_TRACE(mode == StackMode::None ? "None" : "Static");
         ThermalConfig config = noStack(solver);
@@ -467,7 +467,7 @@ TEST(ThermalNet, CoolingDecaysBackToReference)
 TEST(ThermalNet, TemperatureMonotoneInPower)
 {
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
-    ThermalNetwork net(tech, 3, noStack(ThermalSolver::TrBdf2));
+    ThermalNetwork net(tech, 3, noStack(ThermalSolver::Modal));
     std::vector<double> low_p = {0.1, 0.1, 0.1};
     std::vector<double> high_p = {0.4, 0.4, 0.4};
     auto low = net.steadyState(low_p);
@@ -548,25 +548,30 @@ TEST(ThermalNet, CheckedAdvanceClampsTemperatureCeiling)
 
 TEST(ThermalNet, CheckedAdvanceContainsPersistentNaN)
 {
-    const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
-    // The fault site is RK4-only.
-    ThermalConfig config = noStack(ThermalSolver::Rk4);
-    config.max_integration_retries = 0; // halving disabled
-    ThermalNetwork net(tech, 2, config);
-    net.reset(Kelvin{ambient});
-    FaultInjector::instance().reset();
-    FaultInjector::instance().armCallFault(FaultSite::Rk4Step, 1, 1);
-    std::vector<ThermalFault> faults =
-        net.advanceChecked({0.5, 0.5}, Seconds{10e-6});
-    FaultInjector::instance().reset();
-    ASSERT_EQ(faults.size(), 1u);
-    EXPECT_EQ(faults[0].kind, ThermalFault::Kind::NonFinite);
-    // Network remains usable with finite state.
-    EXPECT_TRUE(std::isfinite(net.temperature(0).raw()));
-    EXPECT_TRUE(std::isfinite(net.temperature(1).raw()));
-    std::vector<ThermalFault> clean =
-        net.advanceChecked({0.0, 0.0}, Seconds{10e-6});
-    EXPECT_TRUE(clean.empty());
+    // Every integration step is poisoned: RK4 with its halving
+    // disabled gives up, and the modal update refuses to commit.
+    for (ThermalSolver solver : kSolvers) {
+        SCOPED_TRACE(thermalSolverName(solver));
+        const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
+        ThermalConfig config = noStack(solver);
+        config.max_integration_retries = 0; // halving disabled
+        ThermalNetwork net(tech, 2, config);
+        net.reset(Kelvin{ambient});
+        FaultInjector::instance().reset();
+        FaultInjector::instance().armCallFault(
+            FaultSite::IntegrationStep, 1, 1);
+        std::vector<ThermalFault> faults =
+            net.advanceChecked({0.5, 0.5}, Seconds{10e-6});
+        FaultInjector::instance().reset();
+        ASSERT_EQ(faults.size(), 1u);
+        EXPECT_EQ(faults[0].kind, ThermalFault::Kind::NonFinite);
+        // Network remains usable with finite state.
+        EXPECT_TRUE(std::isfinite(net.temperature(0).raw()));
+        EXPECT_TRUE(std::isfinite(net.temperature(1).raw()));
+        std::vector<ThermalFault> clean =
+            net.advanceChecked({0.0, 0.0}, Seconds{10e-6});
+        EXPECT_TRUE(clean.empty());
+    }
 }
 
 TEST(ThermalNet, CheckedAdvanceDetectsFiniteDivergence)

@@ -3,7 +3,7 @@
  * Parameterized property tests of the thermal-RC network across
  * technology nodes and bus widths: linearity, superposition,
  * symmetry, and transient/steady-state agreement. The transient
- * property runs under both solvers (RK4 oracle, TR-BDF2 default) at
+ * property runs under both solvers (RK4 oracle, modal default) at
  * one tolerance; the others exercise the direct steady-state solve,
  * which no solver touches.
  */
@@ -99,7 +99,7 @@ TEST_P(ThermalProperty, MirrorSymmetry)
 TEST_P(ThermalProperty, TransientConvergesToSteadyState)
 {
     for (ThermalSolver solver :
-         {ThermalSolver::Rk4, ThermalSolver::TrBdf2}) {
+         {ThermalSolver::Rk4, ThermalSolver::Modal}) {
         SCOPED_TRACE(thermalSolverName(solver));
         ThermalNetwork net(tech(), wires(), config(solver));
         net.reset(Kelvin{318.15});

@@ -86,19 +86,19 @@ def fabric_doc():
 
 
 def thermal_doc():
-    cells = [(32, "rk4"), (32, "tr-bdf2"), (512, "tr-bdf2")]
+    cells = [(32, "rk4"), (32, "modal"), (512, "modal")]
     doc = run_meta("thermal", [(f"w{w}/{s}", 1.0) for w, s in cells])
     doc.update({
         "equivalence": {"steady_rel_err_rk4": 1e-9,
-                        "steady_rel_err_trbdf2": 1e-10,
+                        "steady_rel_err_modal": 1e-10,
                         "steady_tolerance": 1e-6,
-                        "transient_rel_dev_trbdf2": 1e-4,
+                        "transient_rel_dev_modal": 1e-4,
                         "passed": True},
         "cells": [{"width": w, "solver": s, "intervals": 10,
                    "wall_ms": 1.0, "ms_per_interval": 0.1}
                   for w, s in cells],
         "acceptance": {"implicit_width": 512, "rk4_width": 32,
-                       "implicit_solver": "tr-bdf2",
+                       "implicit_solver": "modal",
                        "implicit_ms_per_interval": 0.01,
                        "rk4_ms_per_interval": 0.5, "speedup": 50.0,
                        "passed": True},
@@ -174,7 +174,7 @@ def test_documents():
         doctored("pipeline", lambda d: d["equivalence"].update(
             cross_kernel_rel_dev=2e-9)),
         "cross-kernel deviation")
-    for solver in ("rk4", "trbdf2"):
+    for solver in ("rk4", "modal"):
         expect_rejected(
             f"thermal:steady-{solver}-above-tolerance", "thermal",
             doctored("thermal", lambda d: d["equivalence"].update(

@@ -46,15 +46,15 @@ TEST_F(FaultInjectTest, FiresOnNthCallOnly)
 TEST_F(FaultInjectTest, RepeatCadence)
 {
     FaultInjector &fi = FaultInjector::instance();
-    fi.armCallFault(FaultSite::Rk4Step, 2, 3);
+    fi.armCallFault(FaultSite::IntegrationStep, 2, 3);
     std::vector<bool> fired;
     for (int i = 0; i < 9; ++i)
-        fired.push_back(fi.fireCallFault(FaultSite::Rk4Step));
+        fired.push_back(fi.fireCallFault(FaultSite::IntegrationStep));
     // Fires on call 2, then every 3rd after: 2, 5, 8.
     std::vector<bool> expected = {false, true, false, false, true,
                                   false, false, true, false};
     EXPECT_EQ(fired, expected);
-    EXPECT_EQ(fi.firedCount(FaultSite::Rk4Step), 3u);
+    EXPECT_EQ(fi.firedCount(FaultSite::IntegrationStep), 3u);
 }
 
 TEST_F(FaultInjectTest, SitesAreIndependent)

@@ -125,7 +125,7 @@ TEST(Rk4Checked, MatchesUncheckedOnHealthySystem)
 TEST(Rk4Checked, RecoversFromInjectedNaN)
 {
     FaultInjector::instance().reset();
-    FaultInjector::instance().armCallFault(FaultSite::Rk4Step, 3);
+    FaultInjector::instance().armCallFault(FaultSite::IntegrationStep, 3);
     auto decay = [](double, const std::vector<double> &y,
                     std::vector<double> &dydt) { dydt[0] = -y[0]; };
     Rk4Solver solver(1);

@@ -18,8 +18,9 @@ re-derives the claims the report makes:
             shard for the target cell.
   thermal   steady-state errors under the stated tolerance, the
             width x solver cell table, and the acceptance verdict
-            (widest implicit cell faster per interval than the
-            narrowest RK4 cell), one shard per cell.
+            (widest modal cell faster per interval than the
+            narrowest RK4 cell; the report's `implicit_*` acceptance
+            keys name that cell), one shard per cell.
 
 Usage: check_bench.py {pipeline,fabric,thermal} PATH/TO/BENCH.json
 Exit status: 0 when the report holds, 1 when it does not, 2 on usage
@@ -31,7 +32,7 @@ import sys
 
 NUMBER = (int, float)
 KERNELS = ("scalar", "packed")
-SOLVERS = ("rk4", "tr-bdf2")
+SOLVERS = ("rk4", "modal")
 
 
 class CheckError(Exception):
@@ -207,13 +208,13 @@ def check_thermal(data, shards):
     # Equivalence pins: every error is non-negative, the steady-state
     # ones sit under the stated tolerance, and the block says so.
     equiv = field(data, "equivalence", dict, "report")
-    for key in ("steady_rel_err_rk4", "steady_rel_err_trbdf2",
-                "steady_tolerance", "transient_rel_dev_trbdf2"):
+    for key in ("steady_rel_err_rk4", "steady_rel_err_modal",
+                "steady_tolerance", "transient_rel_dev_modal"):
         field(equiv, key, NUMBER, "equivalence", minimum=0)
     if equiv.get("passed") is not True:
         fail("equivalence.passed is not true")
     tol = equiv["steady_tolerance"]
-    for key in ("steady_rel_err_rk4", "steady_rel_err_trbdf2"):
+    for key in ("steady_rel_err_rk4", "steady_rel_err_modal"):
         if equiv[key] > tol:
             fail(f"equivalence '{key}' {equiv[key]} exceeds the "
                  f"stated tolerance {tol}")
@@ -234,14 +235,14 @@ def check_thermal(data, shards):
     if "rk4" not in solvers_seen:
         fail("no rk4 oracle cell in the ladder")
     if not solvers_seen - {"rk4"}:
-        fail("no implicit cell in the ladder")
+        fail("no modal cell in the ladder")
 
-    # Acceptance verdict: widest implicit vs narrowest RK4.
+    # Acceptance verdict: widest modal vs narrowest RK4.
     accept = field(data, "acceptance", dict, "report")
     for key in ("implicit_width", "rk4_width"):
         field(accept, key, int, "acceptance", minimum=1)
     if accept.get("implicit_solver") not in SOLVERS[1:]:
-        fail(f"acceptance has unknown implicit solver "
+        fail(f"acceptance has unknown non-oracle solver "
              f"{accept.get('implicit_solver')!r}")
     for key in ("implicit_ms_per_interval", "rk4_ms_per_interval",
                 "speedup"):
@@ -250,7 +251,7 @@ def check_thermal(data, shards):
         fail("acceptance.passed is not true")
     if accept["implicit_ms_per_interval"] >= \
             accept["rk4_ms_per_interval"]:
-        fail("acceptance claims passed but the implicit cell is not "
+        fail("acceptance claims passed but the modal cell is not "
              "faster than the RK4 baseline")
 
     if len(shards) != len(cells):
