@@ -165,27 +165,6 @@ class RunMeta
         supervisor_ = summary;
     }
 
-    /** Attach the workload descriptor (fabric-style benches):
-     *  topology name, segment count, and traffic pattern. */
-    void setWorkload(std::string topology, uint64_t segments,
-                     std::string pattern)
-    {
-        workload_topology_ = std::move(topology);
-        workload_segments_ = segments;
-        workload_pattern_ = std::move(pattern);
-    }
-
-    /**
-     * Splice a pre-rendered JSON member (`"key": <value>`) into the
-     * report, after the fixed fields and before "shards". The value
-     * must be valid JSON; RunMeta does not re-validate it.
-     */
-    void addSection(std::string key, std::string json_value)
-    {
-        section_keys_.push_back(std::move(key));
-        section_values_.push_back(std::move(json_value));
-    }
-
     unsigned threads() const { return threads_; }
 
     /** Total recorded shard time (serial-equivalent work) [ms]. */
@@ -223,17 +202,6 @@ class RunMeta
                       static_cast<unsigned long long>(tasks_run_),
                       static_cast<unsigned long long>(steals_));
         json += buf;
-        if (!workload_topology_.empty()) {
-            std::snprintf(buf, sizeof(buf),
-                          "  \"topology\": \"%s\",\n"
-                          "  \"segments\": %llu,\n"
-                          "  \"pattern\": \"%s\",\n",
-                          workload_topology_.c_str(),
-                          static_cast<unsigned long long>(
-                              workload_segments_),
-                          workload_pattern_.c_str());
-            json += buf;
-        }
         if (supervisor_.enabled) {
             std::snprintf(buf, sizeof(buf),
                           "  \"supervisor\": {\"ok\": %zu, "
@@ -247,9 +215,6 @@ class RunMeta
                           supervisor_.deadline_ms);
             json += buf;
         }
-        for (size_t i = 0; i < section_keys_.size(); ++i)
-            json += "  \"" + section_keys_[i] +
-                "\": " + section_values_[i] + ",\n";
         json += "  \"shards\": [\n";
         for (size_t i = 0; i < labels_.size(); ++i) {
             std::snprintf(buf, sizeof(buf), "\"wall_ms\": %.3f}%s\n",
@@ -289,11 +254,6 @@ class RunMeta
     uint64_t tasks_run_ = 0;
     uint64_t steals_ = 0;
     SupervisorSummary supervisor_;
-    std::string workload_topology_;
-    uint64_t workload_segments_ = 0;
-    std::string workload_pattern_;
-    std::vector<std::string> section_keys_;
-    std::vector<std::string> section_values_;
 };
 
 /**

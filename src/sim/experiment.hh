@@ -63,7 +63,7 @@ class TwinBusSimulator
     /**
      * Reference per-record replay: one accept() per source record,
      * no batching, no pool. The oracle the pipeline equivalence
-     * pins (tests/sim, bench/perf_pipeline) compare against.
+     * pins in tests/sim compare against.
      */
     uint64_t runPerRecord(TraceSource &source);
 

@@ -23,7 +23,7 @@
  * each stage accumulates in per-record order. Results are therefore
  * bit-identical to the per-record replay at every pool size,
  * including 1 — the same contract as everything in src/exec, pinned
- * by tests/sim/test_pipeline_batch.cc and bench/perf_pipeline.
+ * by tests/sim/test_pipeline_batch.cc for both transition kernels.
  */
 
 #ifndef NANOBUS_SIM_PIPELINE_HH
@@ -97,12 +97,11 @@ class SimPipeline
      */
     Result<uint64_t> run(TraceSource &source);
 
-    /** Replay from an explicit batch stream (rare; run(TraceSource&)
-     *  builds the batcher per Config and handles resume). Same
-     *  contract as run(). */
+  private:
+    /** Replay the batcher run() built per Config; same contract as
+     *  run(). */
     Result<uint64_t> runBatches(BatchSource &batches);
 
-  private:
     TwinBusSimulator &twin_;
     exec::ThreadPool &pool_;
     Config config_;

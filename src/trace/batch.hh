@@ -30,17 +30,14 @@
 #ifndef NANOBUS_TRACE_BATCH_HH
 #define NANOBUS_TRACE_BATCH_HH
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "trace/record.hh"
-#include "util/logging.hh"
 #include "util/result.hh"
 
 namespace nanobus {
@@ -150,53 +147,6 @@ class BatchReader : public BatchSource
     std::vector<TraceRecord> buffer_;
     bool finished_ = false;
     std::optional<Error> error_;
-};
-
-/**
- * Zero-copy batcher over records already in memory: nextBatch()
- * returns consecutive subspans of the caller's array, so iteration
- * costs no per-record virtual call and no copy. The batch sequence
- * is exactly BatchReader's over a VectorTraceSource of the same
- * records — what makes it a drop-in for in-memory replays (the
- * kernel-gate workload in bench/perf_pipeline) whose shared ingest
- * cost would otherwise dilute kernel-vs-kernel ratios. The storage
- * must outlive the source and stay unmodified while batching.
- */
-class SpanBatchSource : public BatchSource
-{
-  public:
-    /**
-     * @param records Borrowed record array (non-decreasing cycles).
-     * @param batch_size Records per batch; must be positive.
-     */
-    explicit SpanBatchSource(std::span<const TraceRecord> records,
-                             size_t batch_size =
-                                 kDefaultTraceBatchSize)
-        : records_(records), batch_size_(batch_size)
-    {
-        if (batch_size_ == 0)
-            fatal("SpanBatchSource: batch size must be positive");
-    }
-
-    Result<RecordBatch> nextBatch() override
-    {
-        RecordBatch batch;
-        if (next_ < records_.size()) {
-            batch.records = records_.data() + next_;
-            batch.count =
-                std::min(batch_size_, records_.size() - next_);
-            next_ += batch.count;
-        }
-        return Result<RecordBatch>(batch);
-    }
-
-    /** Restart batching from the first record. */
-    void rewind() { next_ = 0; }
-
-  private:
-    std::span<const TraceRecord> records_;
-    size_t batch_size_;
-    size_t next_ = 0;
 };
 
 /**

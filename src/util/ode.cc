@@ -126,9 +126,6 @@ Rk4Solver::integrateChecked(const Derivative &f, double t,
                 FaultSite::IntegrationStep))
             y[0] = std::numeric_limits<double>::quiet_NaN();
         if (allFinite(y)) {
-            for (double d : k1_)
-                report.max_derivative =
-                    std::max(report.max_derivative, std::fabs(d));
             t_cur += step_dt;
             ++report.steps;
             continue;

@@ -43,10 +43,6 @@ struct IntegrationReport
     size_t steps = 0;
     /** Rejected steps: RK4 halvings after a non-finite state. */
     size_t retries = 0;
-    /** Largest |dy_i/dt| observed at an accepted RK4 step start — a
-     *  residual proxy: large values flag stiffness trouble even when
-     *  the state stays finite. */
-    double max_derivative = 0.0;
     /** Simulated time actually advanced [same unit as duration]. */
     double completed_time = 0.0;
     /** Failure details when !ok. */

@@ -5,9 +5,9 @@
  *  - Oracle bit-identity: a single-segment fabric driven by a
  *    transaction stream must match the same stream replayed through
  *    the TwinBusSimulator per-record oracle, memcmp-level, for all
- *    seven paper schemes.
+ *    seven paper schemes under both thermal solvers.
  *  - Determinism: a 6x6 mesh run is bit-identical across pool sizes
- *    1/2/hardware.
+ *    1/2/hardware, under both thermal solvers.
  *  - Physics: lateral coupling moves heat from a driven segment
  *    into its idle neighbour, conserves the pairwise exchange, and
  *    switches off cleanly (coupling-off == standalone, bitwise).
@@ -51,6 +51,11 @@ constexpr EncodingScheme kAllSchemes[] = {
     EncodingScheme::Offset,
 };
 
+/** Both thermal integrators: the exact modal update (the default)
+ *  and the RK4 oracle. */
+constexpr ThermalSolver kSolvers[] = {ThermalSolver::Rk4,
+                                      ThermalSolver::Modal};
+
 /** A bursty single-tile stream whose cycles straddle several
  *  interval closes and end mid-interval. */
 std::vector<FabricTransaction>
@@ -89,45 +94,49 @@ TEST(FabricOracle, SingleSegmentMatchesTwinForAllSchemes)
     const std::vector<FabricTransaction> txs = selfSendStream(500, 400);
     exec::ThreadPool pool(2);
 
-    for (EncodingScheme scheme : kAllSchemes) {
-        SCOPED_TRACE(schemeName(scheme));
+    for (ThermalSolver solver : kSolvers) {
+        for (EncodingScheme scheme : kAllSchemes) {
+            SCOPED_TRACE(schemeName(scheme));
+            SCOPED_TRACE(thermalSolverName(solver));
 
-        FabricConfig config;
-        config.topology = TopologyKind::Crossbar;
-        config.tiles = 1;
-        config.segment = smallSegmentConfig(scheme);
-        BusFabric fabric(tech130, config);
+            FabricConfig config;
+            config.topology = TopologyKind::Crossbar;
+            config.tiles = 1;
+            config.segment = smallSegmentConfig(scheme);
+            config.segment.thermal.solver = solver;
+            BusFabric fabric(tech130, config);
 
-        VectorTrafficSource source(txs);
-        Result<FabricRunStats> stats = fabric.run(source, pool);
-        ASSERT_TRUE(stats.ok());
-        EXPECT_EQ(stats.value().transactions, txs.size());
-        EXPECT_EQ(stats.value().hops, txs.size());
+            VectorTrafficSource source(txs);
+            Result<FabricRunStats> stats = fabric.run(source, pool);
+            ASSERT_TRUE(stats.ok());
+            EXPECT_EQ(stats.value().transactions, txs.size());
+            EXPECT_EQ(stats.value().hops, txs.size());
 
-        // Oracle: the same stream as instruction fetches through
-        // the per-record twin replay. The data bus sees nothing.
-        std::vector<TraceRecord> records;
-        records.reserve(txs.size());
-        for (const FabricTransaction &tx : txs)
-            records.push_back({tx.cycle, tx.payload,
-                               AccessKind::InstructionFetch});
-        TwinBusSimulator twin(tech130, config.segment);
-        VectorTraceSource trace(std::move(records));
-        EXPECT_EQ(twin.runPerRecord(trace), txs.size());
+            // Oracle: the same stream as instruction fetches through
+            // the per-record twin replay. The data bus sees nothing.
+            std::vector<TraceRecord> records;
+            records.reserve(txs.size());
+            for (const FabricTransaction &tx : txs)
+                records.push_back({tx.cycle, tx.payload,
+                                   AccessKind::InstructionFetch});
+            TwinBusSimulator twin(tech130, config.segment);
+            VectorTraceSource trace(std::move(records));
+            EXPECT_EQ(twin.runPerRecord(trace), txs.size());
 
-        const std::vector<double> fabric_fp =
-            busFingerprint(fabric.segment(0));
-        const std::vector<double> oracle_fp =
-            busFingerprint(twin.instructionBus());
-        EXPECT_TRUE(identical(fabric_fp, oracle_fp))
-            << "fingerprints diverge at index "
-            << firstDivergence(fabric_fp, oracle_fp);
-        EXPECT_EQ(twin.dataBus().transmissions(), 0u);
+            const std::vector<double> fabric_fp =
+                busFingerprint(fabric.segment(0));
+            const std::vector<double> oracle_fp =
+                busFingerprint(twin.instructionBus());
+            EXPECT_TRUE(identical(fabric_fp, oracle_fp))
+                << "fingerprints diverge at index "
+                << firstDivergence(fabric_fp, oracle_fp);
+            EXPECT_EQ(twin.dataBus().transmissions(), 0u);
+        }
     }
 }
 
 FabricConfig
-meshConfig()
+meshConfig(ThermalSolver solver = ThermalSolver::Modal)
 {
     FabricConfig config;
     config.topology = TopologyKind::Mesh2D;
@@ -135,6 +144,7 @@ meshConfig()
     config.cols = 6;
     config.segment = smallSegmentConfig(EncodingScheme::BusInvert);
     config.segment.interval_cycles = 300;
+    config.segment.thermal.solver = solver;
     return config;
 }
 
@@ -152,9 +162,10 @@ meshTraffic()
 }
 
 std::vector<double>
-runMesh(unsigned pool_size, FabricRunStats *stats_out = nullptr)
+runMesh(unsigned pool_size, ThermalSolver solver,
+        FabricRunStats *stats_out = nullptr)
 {
-    BusFabric fabric(tech130, meshConfig());
+    BusFabric fabric(tech130, meshConfig(solver));
     SyntheticTraffic traffic(fabric.topology(), meshTraffic());
     exec::ThreadPool pool(pool_size);
     Result<FabricRunStats> stats = fabric.run(traffic, pool);
@@ -166,19 +177,24 @@ runMesh(unsigned pool_size, FabricRunStats *stats_out = nullptr)
 
 TEST(FabricDeterminism, MeshBitIdenticalAcrossPoolSizes)
 {
-    FabricRunStats serial_stats;
-    const std::vector<double> serial = runMesh(1, &serial_stats);
-    EXPECT_EQ(serial_stats.transactions, 3000u);
-    EXPECT_GT(serial_stats.hops, serial_stats.transactions);
-    EXPECT_GT(serial_stats.epochs, 0u);
+    for (ThermalSolver solver : kSolvers) {
+        SCOPED_TRACE(thermalSolverName(solver));
+        FabricRunStats serial_stats;
+        const std::vector<double> serial =
+            runMesh(1, solver, &serial_stats);
+        EXPECT_EQ(serial_stats.transactions, 3000u);
+        EXPECT_GT(serial_stats.hops, serial_stats.transactions);
+        EXPECT_GT(serial_stats.epochs, 0u);
 
-    const unsigned hw = exec::ThreadPool::defaultThreads();
-    for (unsigned pool_size : {2u, hw}) {
-        SCOPED_TRACE("pool=" + std::to_string(pool_size));
-        const std::vector<double> parallel = runMesh(pool_size);
-        EXPECT_TRUE(identical(serial, parallel))
-            << "diverges at index "
-            << firstDivergence(serial, parallel);
+        const unsigned hw = exec::ThreadPool::defaultThreads();
+        for (unsigned pool_size : {2u, hw}) {
+            SCOPED_TRACE("pool=" + std::to_string(pool_size));
+            const std::vector<double> parallel =
+                runMesh(pool_size, solver);
+            EXPECT_TRUE(identical(serial, parallel))
+                << "diverges at index "
+                << firstDivergence(serial, parallel);
+        }
     }
 }
 

@@ -197,10 +197,12 @@ TEST(StepBatch, MatchesSequentialStepBitwise)
 // ----------------------------------------------------------------
 
 BusSimConfig
-pinConfig(EncodingScheme scheme)
+pinConfig(EncodingScheme scheme,
+          TransitionKernel kernel = TransitionKernel::Packed)
 {
     BusSimConfig config;
     config.scheme = scheme;
+    config.kernel = kernel;
     config.data_width = 32;
     // Far smaller than the batch sizes below, so every batch
     // straddles several interval (and thermal) closes.
@@ -261,10 +263,11 @@ syntheticRecords(uint64_t cycles, uint64_t seed)
 }
 
 void
-pinPipelineAgainstPerRecord(const std::vector<TraceRecord> &records,
-                            EncodingScheme scheme)
+pinPipelineAgainstPerRecord(
+    const std::vector<TraceRecord> &records, EncodingScheme scheme,
+    TransitionKernel kernel = TransitionKernel::Packed)
 {
-    TwinBusSimulator oracle(tech130, pinConfig(scheme));
+    TwinBusSimulator oracle(tech130, pinConfig(scheme, kernel));
     VectorTraceSource oracle_source(records);
     oracle.runPerRecord(oracle_source);
 
@@ -272,9 +275,11 @@ pinPipelineAgainstPerRecord(const std::vector<TraceRecord> &records,
         exec::ThreadPool pool(pool_size);
         for (bool prefetch : {false, true}) {
             SCOPED_TRACE(testing::Message()
-                         << schemeName(scheme) << " pool=" << pool_size
+                         << schemeName(scheme) << " kernel="
+                         << transitionKernelName(kernel)
+                         << " pool=" << pool_size
                          << " prefetch=" << prefetch);
-            TwinBusSimulator twin(tech130, pinConfig(scheme));
+            TwinBusSimulator twin(tech130, pinConfig(scheme, kernel));
             SimPipeline::Config pc;
             pc.batch_size = 1024; // >> interval_cycles transactions
             pc.prefetch = prefetch;
@@ -290,10 +295,14 @@ pinPipelineAgainstPerRecord(const std::vector<TraceRecord> &records,
 
 TEST(SimPipelineEquivalence, BitIdenticalForEveryPaperScheme)
 {
+    // Each kernel against its own per-record replay: Scalar (the
+    // plain oracle) and Packed (the default) share no counting code.
     const std::vector<TraceRecord> records =
         syntheticRecords(6000, 7);
-    for (EncodingScheme scheme : paperSchemes())
-        pinPipelineAgainstPerRecord(records, scheme);
+    for (TransitionKernel kernel :
+         {TransitionKernel::Scalar, TransitionKernel::Packed})
+        for (EncodingScheme scheme : paperSchemes())
+            pinPipelineAgainstPerRecord(records, scheme, kernel);
 }
 
 TEST(SimPipelineEquivalence, IdleGapsAndTrailingIdle)

@@ -2,7 +2,8 @@
  * @file
  * Modal path of ThermalNetwork: solver selection, the exact update
  * against the closed-form 1-wire + stack solution and against the
- * Eqs 3-4 derivative, modal-vs-RK4-vs-steadyState equivalence, the
+ * Eqs 3-4 derivative, one interval against two halves,
+ * modal-vs-RK4-vs-steadyState equivalence up to 4096 wires, the
  * advanceChecked fault containment on the modal path, and the
  * stability-bound/reset contracts.
  */
@@ -206,40 +207,124 @@ TEST(ThermalSolverSelect, ModalAdvanceMatchesDerivativeFromSkewedState)
     }
 }
 
-// Equivalence gate (mirrored in bench/perf_thermal): the modal update
-// lands on the same steady state as the RK4 oracle and as the direct
-// per-mode solve, within 1e-6 K relative.
+/** Per-wire power [W/m]: {0.1, 0.6, 0.3, 0.9, 0.2} repeated across
+ *  the bus, so no two neighbouring wires carry the same load. */
+std::vector<double>
+patternPower(unsigned width)
+{
+    const double pattern[] = {0.1, 0.6, 0.3, 0.9, 0.2};
+    std::vector<double> power(width);
+    for (unsigned i = 0; i < width; ++i)
+        power[i] = pattern[i % 5];
+    return power;
+}
+
+// Equivalence gate: the RK4 oracle and the modal update land on the
+// direct per-mode solve (steadyState). RK4 runs 5 wires for 20 stack
+// time constants, to 1e-6 relative. The modal update runs 5 wires,
+// the 32-wire data bus, the 33-wire BusInvert bus (3·11, a mixed-radix
+// transform) and 4096 wires for 50 stack time constants. The slowest
+// mode at 4096 wires is 1% slower than the stack, so the physics' own
+// residual transient is e^−49, far below the 1e-12 gate: the gate
+// sees solver error alone.
 TEST(ThermalSolverSelect, ImplicitSteadyStateMatchesRk4AndDirect)
 {
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
+    struct Case
+    {
+        ThermalSolver solver;
+        unsigned width;
+        double stack_taus;  // Dynamic-mode horizon
+        double tolerance;   // relative to the direct solve
+    };
+    const Case cases[] = {
+        {ThermalSolver::Rk4, 5, 20.0, 1e-6},
+        {ThermalSolver::Modal, 5, 50.0, 1e-12},
+        {ThermalSolver::Modal, 32, 50.0, 1e-12},
+        {ThermalSolver::Modal, 33, 50.0, 1e-12},
+        {ThermalSolver::Modal, 4096, 50.0, 1e-12},
+    };
     for (StackMode mode : {StackMode::None, StackMode::Dynamic}) {
-        std::vector<double> power = {0.1, 0.6, 0.3, 0.9, 0.2};
-        // Long enough to saturate the slowest mode (the stack node's
-        // 20 ms time constant in Dynamic mode).
-        const double horizon = mode == StackMode::Dynamic ? 0.4 : 1e-3;
-        const unsigned intervals = 32;
+        for (const Case &c : cases) {
+            SCOPED_TRACE(testing::Message()
+                         << thermalSolverName(c.solver) << " width="
+                         << c.width << " mode="
+                         << static_cast<int>(mode));
+            const ThermalConfig config = solverConfig(c.solver, mode);
+            const std::vector<double> power = patternPower(c.width);
+            // Without a stack node the slowest mode is the wire's
+            // microsecond one, which 1 ms saturates.
+            const double horizon = mode == StackMode::Dynamic
+                ? c.stack_taus * config.stack_time_constant.raw()
+                : 1e-3;
+            const unsigned intervals = 32;
 
-        std::vector<std::vector<double>> finals;
-        for (ThermalSolver s : {ThermalSolver::Rk4,
-                                ThermalSolver::Modal}) {
-            ThermalConfig config = solverConfig(s, mode);
-            ThermalNetwork net(tech, 5, config);
+            ThermalNetwork net(tech, c.width, config);
             net.reset(Kelvin{ambient});
             for (unsigned k = 0; k < intervals; ++k)
                 net.advance(power,
                             Seconds{horizon /
                                     static_cast<double>(intervals)});
-            finals.push_back(net.temperatures());
+            const std::vector<double> ss = net.steadyState(power);
+            for (unsigned i = 0; i < c.width; ++i)
+                ASSERT_NEAR(net.temperature(i).raw(), ss[i],
+                            c.tolerance * ss[i])
+                    << "wire " << i;
         }
-        ThermalNetwork direct(tech, 5,
-                              solverConfig(ThermalSolver::Rk4, mode));
-        std::vector<double> ss = direct.steadyState(power);
+    }
+}
 
-        for (size_t s = 0; s < finals.size(); ++s) {
-            for (unsigned i = 0; i < 5; ++i) {
-                EXPECT_NEAR(finals[s][i], ss[i], 1e-6 * ss[i])
-                    << "solver " << s << " wire " << i << " mode "
-                    << static_cast<int>(mode);
+// The modal update is exact per interval, so one advance of h equals
+// two advances of h/2 up to rounding, whatever h is. That checks the
+// solver alone: unlike a steady-state or RK4 comparison, no physical
+// residual or oracle truncation error can hide a wrong decay factor.
+// The start is skewed (a ramp plus a period-4 ripple) and the power
+// is patterned, so every low mode and the stack pair carry weight.
+// h spans a hundredth of the wire time constant (the fast modes
+// still alive), one wire time constant and one stack time constant.
+TEST(ThermalSolverSelect, ModalOneIntervalEqualsTwoHalves)
+{
+    const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
+    for (StackMode mode : {StackMode::None, StackMode::Static,
+                           StackMode::Dynamic}) {
+        for (unsigned width : {32u, 33u, 4096u}) {
+            const ThermalConfig config =
+                solverConfig(ThermalSolver::Modal, mode);
+            const std::vector<double> power = patternPower(width);
+            ThermalNetwork::SnapshotState start;
+            for (unsigned i = 0; i < width; ++i)
+                start.nodes.push_back(
+                    ambient + 2.0 +
+                    10.0 * static_cast<double>(i) / (width - 1) +
+                    3.0 * static_cast<double>(i % 4));
+            if (mode == StackMode::Dynamic)
+                start.nodes.push_back(ambient + 7.0);
+
+            const double tau_wire =
+                WireThermalParams(tech).timeConstant().raw();
+            for (double h : {tau_wire / 100.0, tau_wire,
+                             config.stack_time_constant.raw()}) {
+                SCOPED_TRACE(testing::Message()
+                             << "width=" << width << " mode="
+                             << static_cast<int>(mode) << " h=" << h);
+                ThermalNetwork whole(tech, width, config);
+                ThermalNetwork halves(tech, width, config);
+                ASSERT_TRUE(whole.restoreSnapshotState(start).ok());
+                ASSERT_TRUE(halves.restoreSnapshotState(start).ok());
+                whole.advance(power, Seconds{h});
+                halves.advance(power, Seconds{h / 2.0});
+                halves.advance(power, Seconds{h / 2.0});
+
+                // Rounding is a few ulps of the absolute temperature
+                // (~6e-14 K); 1e-14 relative leaves a 50x margin.
+                const std::vector<double> a =
+                    whole.snapshotState().nodes;
+                const std::vector<double> b =
+                    halves.snapshotState().nodes;
+                ASSERT_EQ(a.size(), b.size());
+                for (size_t i = 0; i < a.size(); ++i)
+                    ASSERT_NEAR(b[i], a[i], 1e-14 * a[i])
+                        << "node " << i;
             }
         }
     }
@@ -247,30 +332,33 @@ TEST(ThermalSolverSelect, ImplicitSteadyStateMatchesRk4AndDirect)
 
 // Transient (not just steady-state) agreement: over one wire time
 // constant from a cold start, the exact modal update and the RK4
-// oracle agree to RK4's own truncation error.
+// oracle agree to RK4's own truncation error, on 3 wires and on the
+// 33-wire BusInvert bus.
 TEST(ThermalSolverSelect, ImplicitTransientTracksRk4)
 {
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
-    std::vector<double> power = {0.0, 1.0, 0.0};
-    const double tau =
-        ThermalNetwork(tech, 3, solverConfig(ThermalSolver::Rk4))
-            .wireParams()
-            .timeConstant()
-            .raw();
+    const double tau = WireThermalParams(tech).timeConstant().raw();
+    for (unsigned width : {3u, 33u}) {
+        SCOPED_TRACE(testing::Message() << "width=" << width);
+        // Every third wire driven: {0, 1, 0} on 3 wires.
+        std::vector<double> power(width);
+        for (unsigned i = 0; i < width; ++i)
+            power[i] = i % 3 == 1 ? 1.0 : 0.0;
 
-    auto run = [&](ThermalSolver s) {
-        ThermalNetwork net(tech, 3, solverConfig(s));
-        net.reset(Kelvin{ambient});
-        net.advance(power, Seconds{tau});  // mid-transient
-        return net.temperatures();
-    };
+        auto run = [&](ThermalSolver s) {
+            ThermalNetwork net(tech, width, solverConfig(s));
+            net.reset(Kelvin{ambient});
+            net.advance(power, Seconds{tau});  // mid-transient
+            return net.temperatures();
+        };
 
-    std::vector<double> rk4 = run(ThermalSolver::Rk4);
-    std::vector<double> modal = run(ThermalSolver::Modal);
-    const double rise = rk4[1] - ambient;
-    ASSERT_GT(rise, 0.0);
-    for (unsigned i = 0; i < 3; ++i)
-        EXPECT_NEAR(modal[i], rk4[i], 1e-6 * rise) << "wire " << i;
+        std::vector<double> rk4 = run(ThermalSolver::Rk4);
+        std::vector<double> modal = run(ThermalSolver::Modal);
+        const double rise = rk4[1] - ambient;
+        ASSERT_GT(rise, 0.0);
+        for (unsigned i = 0; i < width; ++i)
+            EXPECT_NEAR(modal[i], rk4[i], 1e-6 * rise) << "wire " << i;
+    }
 }
 
 // A poisoned modal update (the IntegrationStep fault site) is never
