@@ -58,10 +58,12 @@ BusFabric::segment(unsigned s) const
 }
 
 uint64_t
-BusFabric::ingest(TrafficSource &source, uint64_t &hops,
-                  uint64_t &last_cycle)
+BusFabric::ingest(TrafficSource &source, exec::ThreadPool &pool,
+                  uint64_t &hops, uint64_t &last_cycle)
 {
-    uint64_t transactions = 0;
+    // Drain serially: the stream is sequential, and the cycle check
+    // and the hop/last-cycle bookkeeping need only hopCount().
+    std::vector<FabricTransaction> txs;
     uint64_t prev_cycle = resume_cycle_;
     FabricTransaction tx;
     while (source.next(tx)) {
@@ -72,22 +74,71 @@ BusFabric::ingest(TrafficSource &source, uint64_t &hops,
                   static_cast<unsigned long long>(prev_cycle));
         prev_cycle = tx.cycle;
 
-        route_scratch_.clear();
-        topology_.route(tx.src, tx.dst, route_scratch_);
-        uint64_t hop_cycle = tx.cycle;
-        for (unsigned seg : route_scratch_) {
-            pending_[seg].push_back(
-                PendingWord{hop_cycle, tx.payload});
-            hop_cycle += config_.hop_latency_cycles;
-        }
+        const unsigned route_hops = topology_.hopCount(tx.src, tx.dst);
         const uint64_t arrival =
-            tx.cycle + config_.hop_latency_cycles *
-                           (route_scratch_.size() - 1);
+            tx.cycle + config_.hop_latency_cycles * (route_hops - 1);
         last_cycle = std::max(last_cycle, arrival);
-        hops += route_scratch_.size();
-        ++transactions;
+        hops += route_hops;
+        txs.push_back(tx);
     }
-    return transactions;
+
+    // Route in fixed transaction chunks, twice. The count pass
+    // tallies each chunk's hops per segment; a prefix sum over the
+    // chunks turns the tallies into each chunk's first slot in every
+    // segment queue; the scatter pass routes again and writes its
+    // hops from there. Chunk c's words land after chunk c-1's, so
+    // every queue holds exactly the serial ingest order at any pool
+    // size.
+    auto forEachHop = [&](size_t begin, size_t end, auto &&visit) {
+        std::vector<unsigned> route;
+        for (size_t i = begin; i < end; ++i) {
+            route.clear();
+            topology_.route(txs[i].src, txs[i].dst, route);
+            uint64_t hop_cycle = txs[i].cycle;
+            for (unsigned seg : route) {
+                visit(seg, PendingWord{hop_cycle, txs[i].payload});
+                hop_cycle += config_.hop_latency_cycles;
+            }
+        }
+    };
+    const size_t n = segments_.size();
+    const size_t grain = exec::chunkGrain(txs.size(), 0);
+    const size_t chunks = exec::chunkCount(txs.size(), grain);
+    // offsets[c * n + s]: chunk c's hop count on segment s after the
+    // count pass, its first slot in pending_[s] after the prefix sum.
+    std::vector<size_t> offsets(chunks * n, 0);
+
+    exec::parallelFor(pool, txs.size(), [&](size_t begin, size_t end) {
+        size_t *count = &offsets[begin / grain * n];
+        forEachHop(begin, end,
+                   [count](unsigned seg, PendingWord) { ++count[seg]; });
+    });
+
+    for (size_t s = 0; s < n; ++s) {
+        size_t slot = 0;
+        for (size_t c = 0; c < chunks; ++c)
+            slot += std::exchange(offsets[c * n + s], slot);
+        pending_[s].resize(slot);
+    }
+
+    exec::parallelFor(pool, txs.size(), [&](size_t begin, size_t end) {
+        const size_t c = begin / grain;
+        std::vector<size_t> next(&offsets[c * n],
+                                 &offsets[c * n] + n);
+        forEachHop(begin, end, [&](unsigned seg, PendingWord word) {
+            pending_[seg][next[seg]++] = word;
+        });
+        for (size_t s = 0; s < n; ++s) {
+            const size_t chunk_end = c + 1 < chunks
+                                         ? offsets[(c + 1) * n + s]
+                                         : pending_[s].size();
+            NANOBUS_ENSURE(next[s] == chunk_end,
+                           "BusFabric: ingest chunk %zu stopped at "
+                           "slot %zu of segment %zu, counted %zu",
+                           c, next[s], s, chunk_end);
+        }
+    });
+    return txs.size();
 }
 
 void
@@ -138,7 +189,7 @@ BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
     FabricRunStats stats;
     stats.last_cycle = resume_cycle_;
     stats.transactions =
-        ingest(source, stats.hops, stats.last_cycle);
+        ingest(source, pool, stats.hops, stats.last_cycle);
     if (stats.transactions == 0)
         return stats;
 
@@ -165,9 +216,9 @@ BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
     // the previous run() left unclosed.
     uint64_t boundary = (resume_cycle_ / interval + 1) * interval;
 
-    // One parallelFor chunk per segment: the partition is a pure
+    // Default-grain chunks of segments: the partition is a pure
     // function of the segment count, never of the pool, and every
-    // chunk touches only its own segment plus the shared read-only
+    // chunk touches only its own segments plus the shared read-only
     // temperature snapshot.
     auto runEpoch = [&] {
         for (unsigned s = 0; s < n; ++s)
@@ -179,8 +230,7 @@ BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
             pool, n,
             [this](size_t begin, size_t end) {
                 stepSegments(begin, end);
-            },
-            1);
+            });
     };
 
     while (boundary <= stats.last_cycle) {

@@ -10,18 +10,17 @@
  * Simulation advances in interval-lockstep epochs: at each interval
  * boundary the fabric snapshots every segment's mean temperature,
  * then steps all segments through the next interval *independently*
- * and in parallel (an exec::parallelFor over segment groups), each
+ * and in parallel (an exec::parallelFor over segment chunks), each
  * folding a frozen inter-segment conductance term — heat exchanged
  * with physically adjacent segments, Jacobi-style — into its
  * interval thermal close.
  *
  * Determinism contract (docs/FABRIC.md): a fabric run is a pure
- * function of (technology, config, transaction stream). Segment
- * grouping, pool size, and pin policy affect wall-clock only — every
- * observable (energies, temperatures, samples, faults, statistics)
- * is bit-identical across them, and a single-segment fabric is
- * bit-identical to the same stream driven through a standalone
- * BusSimulator.
+ * function of (technology, config, transaction stream). Pool size
+ * affects wall-clock only — every observable (energies,
+ * temperatures, samples, faults, statistics) is bit-identical across
+ * pool sizes, and a single-segment fabric is bit-identical to the
+ * same stream driven through a standalone BusSimulator.
  */
 
 #ifndef NANOBUS_FABRIC_FABRIC_HH
@@ -158,10 +157,11 @@ class BusFabric
         uint32_t payload = 0;
     };
 
-    /** Ingest + route the whole stream; returns transactions read
-     *  and updates hops/last-cycle bookkeeping. */
-    uint64_t ingest(TrafficSource &source, uint64_t &hops,
-                    uint64_t &last_cycle);
+    /** Drain the stream, then route it into the pending queues in
+     *  parallel transaction chunks, in serial ingest order; returns
+     *  transactions read and updates hops/last-cycle bookkeeping. */
+    uint64_t ingest(TrafficSource &source, exec::ThreadPool &pool,
+                    uint64_t &hops, uint64_t &last_cycle);
 
     /** Step segments [begin, end): feed pending words below
      *  `window_end`, then advance to `advance_to`. */
@@ -177,14 +177,12 @@ class BusFabric
     std::vector<std::vector<PendingWord>> pending_;
     std::vector<size_t> cursor_;
     /** Per-segment batch scratch; segment-exclusive, so segment
-     *  groups touch disjoint entries. */
+     *  chunks touch disjoint entries. */
     std::vector<BusBatch> batch_scratch_;
     /** Mean segment temperatures frozen at the epoch boundary. */
     std::vector<double> temps_;
-    /** Route scratch for ingest (single-threaded). */
-    std::vector<unsigned> route_scratch_;
 
-    /** Epoch window the segment groups currently execute. */
+    /** Epoch window the segment chunks currently execute. */
     uint64_t window_end_ = 0;
     uint64_t advance_to_ = 0;
 

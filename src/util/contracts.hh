@@ -15,10 +15,13 @@
  *    invariants — they are not input validation (use fatal() or
  *    Result<T> for that) and must never have side effects.
  *
- * The default follows NDEBUG; define NANOBUS_CONTRACT_CHECKS to 0 or 1
- * before including this header (or via the compiler command line) to
- * force either mode — tests force 1 so contract violations stay
- * observable under RelWithDebInfo.
+ * The default follows NDEBUG, so the RelWithDebInfo default build
+ * (and the tier-1 suite run on it) checks nothing. Define
+ * NANOBUS_CONTRACT_CHECKS to 0 or 1 before including this header (or
+ * via the compiler command line) to force either mode; the CI
+ * ASan+UBSan job configures with
+ * -DCMAKE_CXX_FLAGS=-DNANOBUS_CONTRACT_CHECKS=1, so the whole suite
+ * runs with every contract checked there.
  */
 
 #ifndef NANOBUS_UTIL_CONTRACTS_HH

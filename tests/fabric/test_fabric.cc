@@ -5,7 +5,9 @@
  *  - Oracle bit-identity: a single-segment fabric driven by a
  *    transaction stream must match the same stream replayed through
  *    the TwinBusSimulator per-record oracle, memcmp-level, for all
- *    seven paper schemes under both thermal solvers.
+ *    seven paper schemes under both thermal solvers; every segment
+ *    of an uncoupled mesh must match a standalone BusSimulator fed
+ *    its serially routed hops, at pools 1/2/4.
  *  - Determinism: a 6x6 mesh run is bit-identical across pool sizes
  *    1/2/hardware, under both thermal solvers.
  *  - Physics: lateral coupling moves heat from a driven segment
@@ -282,6 +284,90 @@ TEST(FabricCoupling, CouplingOffMatchesStandaloneBitwise)
     EXPECT_TRUE(identical(fabric_fp, lone_fp))
         << "diverges at index "
         << firstDivergence(fabric_fp, lone_fp);
+}
+
+TEST(FabricOracle, UncoupledMeshSegmentsMatchStandaloneBitwise)
+{
+    // Pool-independent oracle for the chunked ingest: with coupling
+    // off, every mesh segment must equal a standalone BusSimulator
+    // fed that segment's hops, built here by serial route() and a
+    // stable sort by cycle, one transmit() per word. 2400
+    // transactions make the ingest's full 64 chunks, and hotspot
+    // traffic puts many same-cycle words on one segment, so a chunk
+    // written out of order or at a wrong offset shows.
+    FabricConfig config;
+    config.topology = TopologyKind::Mesh2D;
+    config.rows = 4;
+    config.cols = 4;
+    config.hop_latency_cycles = 2;
+    config.segment_coupling = false;
+    config.segment = smallSegmentConfig(EncodingScheme::BusInvert);
+    config.segment.interval_cycles = 150;
+
+    const FabricTopology topo = FabricTopology::mesh(4, 4);
+    TrafficConfig traffic;
+    traffic.pattern = TrafficPattern::Hotspot;
+    traffic.hotspot_tile = 5;
+    traffic.hotspot_fraction = 0.5;
+    traffic.injection_rate = 0.25;
+    traffic.seed = 91;
+    traffic.max_transactions = 2400;
+    std::vector<FabricTransaction> txs;
+    SyntheticTraffic stream(topo, traffic);
+    for (FabricTransaction tx; stream.next(tx);)
+        txs.push_back(tx);
+    ASSERT_EQ(txs.size(), 2400u);
+
+    struct Hop
+    {
+        uint64_t cycle;
+        uint32_t payload;
+    };
+    std::vector<std::vector<Hop>> hops(topo.numSegments());
+    uint64_t last_cycle = 0;
+    std::vector<unsigned> route;
+    for (const FabricTransaction &tx : txs) {
+        route.clear();
+        topo.route(tx.src, tx.dst, route);
+        uint64_t cycle = tx.cycle;
+        for (unsigned seg : route) {
+            hops[seg].push_back({cycle, tx.payload});
+            last_cycle = std::max(last_cycle, cycle);
+            cycle += config.hop_latency_cycles;
+        }
+    }
+    std::vector<std::vector<double>> expected;
+    for (std::vector<Hop> &queue : hops) {
+        std::stable_sort(queue.begin(), queue.end(),
+                         [](const Hop &a, const Hop &b) {
+                             return a.cycle < b.cycle;
+                         });
+        BusSimulator standalone(tech130, config.segment);
+        for (const Hop &hop : queue)
+            standalone.transmit(hop.cycle, hop.payload);
+        standalone.advanceTo(last_cycle);
+        expected.push_back(busFingerprint(standalone));
+    }
+
+    for (unsigned pool_size : {1u, 2u, 4u}) {
+        SCOPED_TRACE("pool=" + std::to_string(pool_size));
+        exec::ThreadPool pool(pool_size);
+        BusFabric fabric(tech130, config);
+        VectorTrafficSource source(txs);
+        Result<FabricRunStats> stats = fabric.run(source, pool);
+        ASSERT_TRUE(stats.ok());
+        EXPECT_EQ(stats.value().last_cycle, last_cycle);
+        for (unsigned s = 0; s < fabric.numSegments(); ++s) {
+            SCOPED_TRACE("segment=" + std::to_string(s));
+            const std::vector<double> fabric_fp =
+                busFingerprint(fabric.segment(s));
+            EXPECT_EQ(fabric.segment(s).transmissions(),
+                      hops[s].size());
+            EXPECT_TRUE(identical(fabric_fp, expected[s]))
+                << "diverges at index "
+                << firstDivergence(fabric_fp, expected[s]);
+        }
+    }
 }
 
 TEST(FabricContinuation, SplitRunsMatchCombinedRun)

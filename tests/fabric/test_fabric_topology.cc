@@ -2,13 +2,15 @@
  * @file
  * FabricTopology property tests: route validity (adjacent-tile
  * steps, endpoints, determinism), XY dimension order, ring
- * shorter-arc selection with the fixed tie-break, and the
- * adjacency relation the thermal exchange runs over.
+ * shorter-arc selection with the fixed tie-break, hopCount() ==
+ * route length on every kind, and the adjacency relation the thermal
+ * exchange runs over.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "fabric/topology.hh"
@@ -96,6 +98,29 @@ TEST(MeshTopology, RoutePropertiesForAllPairs)
                 (r1 > r2 ? r1 - r2 : r2 - r1) +
                 (c1 > c2 ? c1 - c2 : c2 - c1);
             EXPECT_EQ(route.size(), manhattan + 1);
+        }
+    }
+}
+
+// BusFabric sizes its hop and last-cycle bookkeeping from hopCount()
+// and its segment queues from route(), so the two must agree for
+// every pair on every kind (the mesh is covered above).
+TEST(HopCount, MatchesRouteLengthOnRingsAndCrossbars)
+{
+    std::vector<unsigned> route;
+    for (const FabricTopology &topo :
+         {FabricTopology::ring(1), FabricTopology::ring(2),
+          FabricTopology::ring(6), FabricTopology::ring(7),
+          FabricTopology::crossbar(1), FabricTopology::crossbar(5)}) {
+        SCOPED_TRACE(std::string(topologyKindName(topo.kind())) +
+                     std::to_string(topo.numTiles()));
+        for (unsigned src = 0; src < topo.numTiles(); ++src) {
+            for (unsigned dst = 0; dst < topo.numTiles(); ++dst) {
+                route.clear();
+                topo.route(src, dst, route);
+                EXPECT_EQ(route.size(), topo.hopCount(src, dst))
+                    << src << "->" << dst;
+            }
         }
     }
 }

@@ -7,6 +7,15 @@
 
 #include "util/bitops.hh"
 
+// src/CMakeLists.txt gives nanobus_util a PUBLIC -mpopcnt on x86-64,
+// so std::popcount inlines the instruction in every target that
+// links the library. A test translation unit without it means the
+// option was lost (made PRIVATE, or the target stopped linking
+// nanobus_util) and the count kernels fell back to libgcc calls.
+#if defined(__x86_64__) && !defined(__POPCNT__)
+#error "x86-64 build without POPCNT: nanobus_util's -mpopcnt is not PUBLIC"
+#endif
+
 namespace nanobus {
 namespace {
 
