@@ -1,6 +1,7 @@
 #include "trace/io.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstring>
 #include <cstdio>
@@ -104,6 +105,148 @@ parseCanonical(std::string_view line, TraceRecord &out)
     out.kind = kind;
     out.address = address;
     return true;
+}
+
+/** Little-endian unsigned value of `bytes` bytes at `data`. */
+uint64_t
+getLe(const char *data, unsigned bytes)
+{
+    uint64_t value = 0;
+    for (unsigned i = 0; i < bytes; ++i)
+        value |= static_cast<uint64_t>(static_cast<unsigned char>(
+                     data[i])) << (8 * i);
+    return value;
+}
+
+/** The eight bytes at `p` as one word, the first in the low byte:
+ *  one load on a little-endian host. */
+uint64_t
+loadWord(const char *p)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        uint64_t w = 0;
+        std::memcpy(&w, p, sizeof(w));
+        return w;
+    } else {
+        return getLe(p, 8);
+    }
+}
+
+/** `b` copied into every byte of a word. */
+constexpr uint64_t
+splat(uint64_t b)
+{
+    return b * 0x0101010101010101ull;
+}
+
+/**
+ * Zero in every byte of `w` (first character in the low byte) before
+ * its first non-digit, nonzero in that byte. A carry out of a byte
+ * at or above 0xfa can only disturb the bytes after it, and such a
+ * byte is itself a non-digit.
+ */
+uint64_t
+nonDigitBytes(uint64_t w)
+{
+    return ((w & splat(0xf0)) ^ splat(0x30)) |
+        (((w + splat(0x06)) & splat(0xf0)) ^ splat(0x30));
+}
+
+/** Value of the eight decimal digits in `w`, first (most
+ *  significant) in the low byte; zero bytes read as leading zeros. */
+uint64_t
+eightDigits(uint64_t w)
+{
+    w = (w & splat(0x0f)) * (10 * 256 + 1) >> 8;
+    w = (w & 0x00ff00ff00ff00ffull) * (100 * 65536 + 1) >> 16;
+    return (w & 0x0000ffff0000ffffull) *
+        (10000 * (uint64_t{1} << 32) + 1) >> 32;
+}
+
+/**
+ * True when every byte of `w` is a hex digit of either case; then
+ * `value` is the eight digits' value, first (most significant) in
+ * the low byte. The range tests add to 7-bit bytes, so no byte
+ * carries into the next; bytes at or above 0x80 fail on `~w`.
+ */
+bool
+eightHexDigits(uint64_t w, uint32_t &value)
+{
+    const uint64_t high = splat(0x80);
+    const uint64_t low7 = w & ~high;
+    const uint64_t decimal =
+        (low7 + splat(0x80 - '0')) & ~(low7 + splat(0x7f - '9'));
+    const uint64_t folded = low7 | splat(0x20); // 'A'-'F' -> 'a'-'f'
+    const uint64_t letter =
+        (folded + splat(0x80 - 'a')) & ~(folded + splat(0x7f - 'f'));
+    if (((decimal | letter) & ~w & high) != high)
+        return false;
+    // Nibbles, then pairs into bytes, bytes into 16-bit lanes, and
+    // lanes into the 32-bit value.
+    uint64_t v = (w & splat(0x0f)) + ((letter & high) >> 7) * 9;
+    v = (v << 4 | v >> 8) & 0x00ff00ff00ff00ffull;
+    v = (v << 8 | v >> 16) & 0x0000ffff0000ffffull;
+    value = static_cast<uint32_t>(v << 16 | v >> 32);
+    return true;
+}
+
+/**
+ * The word path: parse the line at the front of `rest` if it is
+ * exactly a TraceWriter record (1-15 decimal digits, a space,
+ * I/L/S, a space, exactly 8 hex digits of either case, '\n'), and
+ * return its length with the '\n'; return 0 for anything else,
+ * including a line that `rest` does not hold whole. Every byte it
+ * reads lies in `rest`: beyond it the buffer holds stale bytes of an
+ * earlier block that could complete a partial line.
+ *
+ * parseCanonical accepts every line taken here with the same values
+ * (15 digits are within its 19, 8 hex digits within its 1-8, and
+ * '\n' ends the line nextLine() would frame), so taking a line here
+ * changes no record, count or message.
+ */
+size_t
+parseWord(std::string_view rest, TraceRecord &out)
+{
+    if (rest.size() < 16)
+        return 0;
+    const char *const p = rest.data();
+    const uint64_t w0 = loadWord(p);
+    size_t digits = 0;
+    uint64_t cycle = 0;
+    if (const uint64_t stop = nonDigitBytes(w0)) {
+        digits = static_cast<size_t>(std::countr_zero(stop)) / 8;
+        if (digits == 0)
+            return 0;
+        cycle = eightDigits(w0 << (64 - 8 * digits));
+    } else {
+        const uint64_t w1 = loadWord(p + 8);
+        const uint64_t stop1 = nonDigitBytes(w1);
+        if (stop1 == 0)
+            return 0; // 16 or more digits
+        const unsigned more =
+            static_cast<unsigned>(std::countr_zero(stop1)) / 8;
+        digits = 8 + more;
+        cycle = eightDigits(w0);
+        if (more > 0) {
+            static constexpr uint64_t pow10[8] = {
+                1, 10, 100, 1000, 10000, 100000, 1000000, 10000000};
+            cycle = cycle * pow10[more] +
+                eightDigits(w1 << (64 - 8 * more));
+        }
+    }
+    const size_t length = digits + 12;
+    if (length > rest.size())
+        return 0;
+    AccessKind kind = AccessKind::InstructionFetch;
+    uint32_t address = 0;
+    if (p[digits] != ' ' || p[digits + 2] != ' ' ||
+        p[digits + 11] != '\n' || !kindFromLetter(p[digits + 1], kind) ||
+        !eightHexDigits(loadWord(p + digits + 3), address))
+        return 0;
+    out.cycle = cycle;
+    out.kind = kind;
+    out.address = address;
+    return length;
 }
 
 /** The text grammar proper: parse NUL-terminated `line` with
@@ -276,7 +419,18 @@ bool
 TraceReader::next(TraceRecord &out)
 {
     std::string_view line;
-    while (in_.nextLine(line)) {
+    for (;;) {
+        // The injector counts and corrupts every line, so while it is
+        // armed each line takes the per-line path below.
+        if (!FaultInjector::active()) {
+            if (const size_t length = parseWord(in_.unconsumed(), out)) {
+                in_.consume(length);
+                ++line_;
+                return true;
+            }
+        }
+        if (!in_.nextLine(line))
+            break;
         ++line_;
         if (FaultInjector::active()) {
             scratch_.assign(line);
@@ -330,16 +484,6 @@ putLe(std::ofstream &out, uint64_t value, unsigned bytes)
 constexpr size_t binary_header_bytes = sizeof(binary_magic) + 4;
 /** Record bytes: u64 cycle, u32 address, u8 kind. */
 constexpr size_t binary_record_bytes = 8 + 4 + 1;
-
-uint64_t
-getLe(const char *data, unsigned bytes)
-{
-    uint64_t value = 0;
-    for (unsigned i = 0; i < bytes; ++i)
-        value |= static_cast<uint64_t>(static_cast<unsigned char>(
-                     data[i])) << (8 * i);
-    return value;
-}
 
 } // anonymous namespace
 

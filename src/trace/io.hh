@@ -7,11 +7,33 @@
  *    kind one of I/L/S; lines starting with '#' are comments.
  *  - binary: a 8-byte header ("NBTR" magic + version) followed by
  *    packed little-endian records (u64 cycle, u32 address, u8 kind)
- *    — 13 bytes/record against ~18 for text. Both readers go
- *    through one block buffer; on one thread over the 1.46M records
- *    of a 1M-cycle swim trace (4-core Xeon VM) TraceReader takes
- *    ~50 ns/record and BinaryTraceReader ~11 ns/record, so binary
- *    stays the faster format for the paper-scale 300M-cycle traces.
+ *    — 13 bytes/record against ~18 for text.
+ *
+ * Both readers go through one block buffer. TraceReader takes each
+ * text line by the first of three paths that accepts it:
+ *  1. The word path takes exactly the line TraceWriter emits: 1-15
+ *     decimal digits, a space, I/L/S, a space, exactly 8 hex digits
+ *     (either case) and '\n'. It loads 8-byte words in plain C++,
+ *     checks and converts both fields with byte-wise arithmetic on
+ *     one 64-bit integer, and finds the line end by position.
+ *     Every byte it reads lies in the buffered bytes not yet
+ *     consumed (TraceFileBuffer::unconsumed(); it needs 16 of them
+ *     to start): past them the buffer holds stale bytes of an
+ *     earlier block that could complete a partial line. A line not
+ *     wholly buffered, and every line while the FaultInjector is
+ *     armed, takes the paths below.
+ *  2. parseCanonical takes the writer's form framed by memchr, more
+ *     loosely: 1-19 digits, 1-8 hex digits, an optional final '\r'.
+ *  3. Every other line goes to the historical
+ *     sscanf("%" SCNu64 " %c %x") grammar, and is skipped against
+ *     the error budget when that rejects it.
+ * Each path accepts a subset of the next one's lines with the same
+ * values, so records, linesRead(), skippedLines(), warnings and
+ * fatal errors are those of the sscanf grammar alone. On one thread
+ * over 1.5M records with 7-digit cycles (4-vCPU VM) TraceReader takes
+ * ~14 ns/record (~55 before the word path) and BinaryTraceReader
+ * ~17 ns/record; traced fig4-trace-file reads trace.ns_per_record
+ * ~18 ns/record (58 before), one seed-2 run each.
  *
  * Error handling follows docs/ROBUSTNESS.md: open failures and
  * structural defects (bad magic, truncated binary records) are
@@ -68,6 +90,17 @@ class TraceFileBuffer
      *  how many there are, fewer than `n` only at end of file. Valid
      *  until the next call. */
     size_t take(size_t n, const char *&data);
+
+    /** The buffered bytes not yet consumed, possibly ending mid-line;
+     *  empty before the first read. Never refills. Valid until the
+     *  next call. */
+    std::string_view unconsumed() const
+    {
+        return {buf_.data() + pos_, end_ - pos_};
+    }
+
+    /** Consume the first `n` bytes of unconsumed(). */
+    void consume(size_t n) { pos_ += n; }
 
   private:
     /** Move the unconsumed bytes to the front, then read behind them;

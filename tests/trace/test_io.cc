@@ -421,6 +421,40 @@ TEST_F(TraceIoTest, FinalLineWithoutNewline)
                                              '\n')) + 1);
 }
 
+TEST_F(TraceIoTest, UnterminatedFinalLineIgnoresStaleBufferTail)
+{
+    // The first block ends on a line end, so the second read fills
+    // the buffer from offset 0 and stops short at end of file. Past
+    // that point the buffer still holds the first block's bytes, and
+    // at the offsets right after the unterminated final line they are
+    // "0d\n": read as part of the line they would make a whole
+    // record with address 0x0badf00d. The reader must see only the
+    // file's "0badf0". The line is longer than one 16-byte word, so
+    // only the checks against the end of the buffered bytes keep the
+    // word path off it.
+    const auto records = sampleRecords(3);
+    const std::string tail =
+        canonicalText(records) + "123456789 L 0badf0";
+    std::string text = "#" + std::string(tail.size() - 1, 'q') + "0d\n";
+    padTo(text, kTraceBlockSize);
+    ASSERT_EQ(text.size(), kTraceBlockSize);
+    ASSERT_EQ(text.substr(tail.size(), 3), "0d\n");
+    const size_t pad_lines =
+        static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+    text += tail;
+    writeRaw(text);
+
+    std::vector<TraceRecord> expected = records;
+    expected.push_back({123456789, 0x0badf0u, AccessKind::Load});
+    TraceReader reader(path_);
+    TraceRecord record;
+    for (const TraceRecord &want : expected)
+        ASSERT_TRUE(reader.next(record) && record == want);
+    EXPECT_FALSE(reader.next(record));
+    EXPECT_EQ(reader.linesRead(), pad_lines + expected.size());
+    EXPECT_EQ(reader.skippedLines(), 0u);
+}
+
 TEST_F(TraceIoTest, ReopenMidBufferRereadsPristine)
 {
     // ~2.5 blocks of records; stop once mid-first-block and once past

@@ -5,16 +5,23 @@
  *
  * ReferenceTraceReader below is that reader kept verbatim: one
  * std::getline per line and the "%" SCNu64 " %c %x" sscanf grammar.
- * TraceReader reads blocks, frames lines with memchr and parses the
- * writer's canonical form by hand, handing every other line to the
- * same sscanf. Each case writes a trace with TraceWriter, applies
- * seeded edits to its bytes (bit flips, inserted and deleted blanks,
- * signs, 0x prefixes, 20-digit and overflowing cycles, 9+ and 17+
- * hex digits, CRLF and bare CR lines, embedded NULs, comments, empty
- * lines, trailing text, a missing final newline, a line longer than
- * one block) and requires both readers to agree at error budgets 0,
- * 1 and unlimited: the same records in order, the same skippedLines()
- * and linesRead(), the same FatalError, and the same log messages.
+ * TraceReader reads blocks, takes the writer's exact line a word at
+ * a time, frames every other line with memchr and parses the
+ * canonical form by hand, handing the rest to the same sscanf. Each
+ * case writes a trace with TraceWriter, applies seeded edits to its
+ * bytes (bit flips, inserted and deleted blanks, signs, 0x prefixes,
+ * 20-digit and overflowing cycles, 9+ and 17+ hex digits, CRLF and
+ * bare CR lines, embedded NULs, comments, empty lines, trailing text,
+ * a missing final newline, a line longer than one block) and
+ * requires both readers to agree at error budgets 0, 1 and
+ * unlimited: the same records in order, the same skippedLines() and
+ * linesRead(), the same FatalError, and the same log messages.
+ *
+ * A quarter of the cases also probe the word path's limits: lines
+ * with 1-20 digit cycles and 7-9 digit addresses in lower, upper and
+ * mixed case, CRLF endings, a NUL or a byte at or above 0x80 inside
+ * one field, some of them packed into the last 48 bytes before the
+ * first block edge, and one as the final, often unterminated, line.
  *
  * Reproducing a failure: every case logs its seed; replay one with
  *
@@ -293,6 +300,44 @@ mutateLine(Rng &rng, std::string &line)
     }
 }
 
+/** A record line at the word path's limits: a cycle of 1-20 digits,
+ *  an address of 7-9 hex digits in lower, upper or mixed case, an
+ *  optional '\r', and sometimes one byte of a field replaced by a
+ *  NUL, a byte at or above 0x80, or a byte just outside a digit
+ *  range. */
+std::string
+edgeLine(Rng &rng)
+{
+    static const size_t cycle_digits[] = {1, 7, 8, 9, 15, 16, 19, 20};
+    static const char *const hex_cases[] = {
+        "0123456789abcdef", "0123456789ABCDEF",
+        "0123456789abcdefABCDEF"};
+    const size_t digits =
+        cycle_digits[rng.below(std::size(cycle_digits))];
+    std::string line = randomDigits(rng, digits, "0123456789", 10);
+    line += ' ';
+    line += "ILS"[rng.below(3)];
+    line += ' ';
+    const char *const hex = hex_cases[rng.below(std::size(hex_cases))];
+    const size_t hex_digits = 7 + rng.below(3);
+    line += randomDigits(rng, hex_digits, hex,
+                         std::char_traits<char>::length(hex));
+    if (rng.chance(0.2))
+        line += '\r';
+    if (rng.chance(0.3)) {
+        static const char near[] = {'\0', '/', ':', '@', 'G', '`', 'g'};
+        const char c = rng.chance(0.5)
+            ? static_cast<char>(0x80 + rng.below(128))
+            : near[rng.below(std::size(near))];
+        switch (rng.below(3)) {
+          case 0: line[rng.below(digits)] = c; break;
+          case 1: line[digits + 1] = c; break;
+          default: line[digits + 3 + rng.below(hex_digits)] = c; break;
+        }
+    }
+    return line;
+}
+
 /** A line longer than one block: a comment, a record with a block of
  *  trailing blanks, or garbage. */
 std::string
@@ -344,12 +389,24 @@ mutatedTrace(uint64_t seed, const std::string &path)
         start = nl + 1;
     }
     const double rate = rng.uniform(0.0, 0.3);
+    const bool edges = rng.chance(0.25);
     std::vector<std::string> edited;
+    if (edges && rng.chance(0.5)) {
+        // One comment ends 1-48 bytes before the first block edge, so
+        // the next lines sit in the block's last bytes or straddle it.
+        const size_t gap = 1 + rng.below(48);
+        edited.push_back("#" + std::string(kTraceBlockSize - gap - 2,
+                                           'p'));
+    }
     for (std::string &line : lines) {
         if (rng.chance(0.02))
             edited.push_back(rng.chance(0.5) ? "" : "# note");
         if (rng.chance(0.01))
             edited.push_back(rng.chance(0.5) ? "\r" : "#\r");
+        if (edges && rng.chance(0.5)) {
+            edited.push_back(edgeLine(rng));
+            continue;
+        }
         if (rng.chance(rate)) {
             mutateLine(rng, line);
             if (rng.chance(0.2))
@@ -362,10 +419,13 @@ mutatedTrace(uint64_t seed, const std::string &path)
                           rng.below(edited.size() + 1)),
                       longLine(rng));
 
+    if (edges)
+        edited.push_back(edgeLine(rng));
+
     std::string out;
     for (const std::string &line : edited)
         out += line + '\n';
-    if (!out.empty() && rng.chance(0.25))
+    if (!out.empty() && rng.chance(edges ? 0.5 : 0.25))
         out.pop_back(); // no final newline
     {
         std::ofstream file(path, std::ios::binary | std::ios::trunc);
