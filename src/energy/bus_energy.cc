@@ -1,7 +1,6 @@
 #include "energy/bus_energy.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "energy/packed.hh"
 #include "energy/transition.hh"
@@ -298,86 +297,39 @@ BusEnergyModel::deriveEnergies(const uint64_t *self_base,
     // against the baseline when one is given). The j window and its
     // ascending order match transitionEnergy(), so for a single
     // transition this reduces to it bitwise.
-    //
-    // Row i of `count` holds N_i + D_ij as a double. Each pair's
-    // delta is taken once and written to both of its rows. Lines then
-    // sum four at a time, in independent accumulators over the union
-    // of their windows, each in ascending j. Every added term outside
-    // a line's own window, or on its diagonal, is 0.0 * 0.0: a sum
-    // that starts at +0.0 never becomes -0.0, so adding a zero leaves
-    // it unchanged and the bits are the one-line-at-a-time sum's.
-    NANOBUS_EXPECT(counts_->storedRadius() == radius_,
-                   "deriveEnergies: counts store radius %u, model %u",
-                   counts_->storedRadius(), radius_);
-    const unsigned w = width_;
-    const unsigned r = radius_;
-    auto lo = [r](unsigned i) { return i >= r ? i - r : 0; };
-    auto hi = [w, r](unsigned i) { return std::min(w - 1, i + r); };
-
-    uint64_t n[64];
-    for (unsigned i = 0; i < w; ++i)
-        n[i] = counts_->selfCount(i) - (self_base ? self_base[i] : 0);
-
-    const auto count =
-        std::make_unique_for_overwrite<double[]>(size_t{w} * w);
-    for (unsigned i = 0; i < w; ++i) {
-        double *row = count.get() + size_t{i} * w;
-        const unsigned first = i & ~3u; // the line's group of four
-        std::fill(row + lo(first), row + lo(i), 0.0);
-        row[i] = 0.0;
-        std::fill(row + hi(i) + 1, row + hi(first + 3) + 1, 0.0);
-    }
-    const std::span<const int64_t> pairs = counts_->pairDeviations();
-    for (unsigned i = 0; i < w; ++i) {
-        const size_t at = size_t{i} * r;
-        for (unsigned j = i + 1; j <= hi(i); ++j) {
-            const size_t k = at + (j - i - 1);
-            const int64_t dev = pairs[k] - (pair_base ? pair_base[k] : 0);
-            count[size_t{i} * w + j] =
-                static_cast<double>(static_cast<int64_t>(n[i]) + dev);
-            count[size_t{j} * w + i] =
-                static_cast<double>(static_cast<int64_t>(n[j]) + dev);
-        }
-    }
-
-    auto finish = [&](unsigned i, double coupling_sum) {
+    out = EnergyBreakdown();
+    const unsigned stride = counts_->storedRadius();
+    for (unsigned i = 0; i < width_; ++i) {
+        const uint64_t n =
+            counts_->selfCount(i) - (self_base ? self_base[i] : 0);
         const double e_self =
-            half_vdd2_ * self_cap_[i] * static_cast<double>(n[i]);
+            half_vdd2_ * self_cap_[i] * static_cast<double>(n);
+
+        double coupling_sum = 0.0;
+        const double *row = coupling_cap_.rowPtr(i);
+        const unsigned j_lo = i >= radius_ ? i - radius_ : 0;
+        const unsigned j_hi = std::min(width_ - 1, i + radius_);
+        for (unsigned j = j_lo; j <= j_hi; ++j) {
+            if (j == i)
+                continue;
+            int64_t dev = counts_->pairDeviationAt(i, j);
+            if (pair_base) {
+                const unsigned lo = i < j ? i : j;
+                const unsigned d = i < j ? j - i : i - j;
+                if (d <= stride) {
+                    dev -= pair_base[static_cast<size_t>(lo) *
+                                         stride +
+                                     (d - 1)];
+                }
+            }
+            coupling_sum += row[j] *
+                static_cast<double>(static_cast<int64_t>(n) + dev);
+        }
         const double e_coup = half_vdd2_ * coupling_sum;
+
         line_out[i] = e_self + e_coup;
         out.self += Joules{e_self};
         out.coupling += Joules{e_coup};
-    };
-    out = EnergyBreakdown();
-    unsigned i = 0;
-    for (; i + 4 <= w; i += 4) {
-        const double *c0 = coupling_cap_.rowPtr(i);
-        const double *c1 = coupling_cap_.rowPtr(i + 1);
-        const double *c2 = coupling_cap_.rowPtr(i + 2);
-        const double *c3 = coupling_cap_.rowPtr(i + 3);
-        const double *n0 = count.get() + size_t{i} * w;
-        const double *n1 = n0 + w;
-        const double *n2 = n1 + w;
-        const double *n3 = n2 + w;
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        for (unsigned j = lo(i); j <= hi(i + 3); ++j) {
-            s0 += c0[j] * n0[j];
-            s1 += c1[j] * n1[j];
-            s2 += c2[j] * n2[j];
-            s3 += c3[j] * n3[j];
-        }
-        finish(i, s0);
-        finish(i + 1, s1);
-        finish(i + 2, s2);
-        finish(i + 3, s3);
-    }
-    for (; i < w; ++i) {
-        const double *c = coupling_cap_.rowPtr(i);
-        const double *row = count.get() + size_t{i} * w;
-        double sum = 0.0;
-        for (unsigned j = lo(i); j <= hi(i); ++j)
-            sum += c[j] * row[j];
-        finish(i, sum);
     }
 }
 

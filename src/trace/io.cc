@@ -42,71 +42,6 @@ kindFromLetter(char c, AccessKind &kind)
     }
 }
 
-/** Value of hex digit `c`, or 16 if it is none. */
-unsigned
-hexValue(char c)
-{
-    if (c >= '0' && c <= '9')
-        return static_cast<unsigned>(c - '0');
-    c = static_cast<char>(c | 0x20); // 'A'-'F' -> 'a'-'f'
-    if (c >= 'a' && c <= 'f')
-        return static_cast<unsigned>(c - 'a' + 10);
-    return 16;
-}
-
-/**
- * Parse a line of exactly TraceWriter's form: 1-19 decimal digits,
- * one space, I/L/S, one space, 1-8 hex digits, then the end of the
- * line or a final '\r'. Returns false for anything else.
- *
- * Every line this accepts, parseScanf accepts with the same values:
- * %SCNu64 reads the same digit run, and 19 digits cannot overflow a
- * uint64_t, so no saturation applies; the format's " " skips the one
- * space and %c takes the letter; " %x" skips the next space and reads
- * the same hex run, and 8 digits fit an unsigned; sscanf ignores
- * whatever follows, so requiring the end or '\r' only narrows what
- * is taken here. Every line rejected here goes to parseScanf
- * unchanged, so accept/skip decisions and values are sscanf's on
- * every line.
- */
-bool
-parseCanonical(std::string_view line, TraceRecord &out)
-{
-    const char *p = line.data();
-    const char *const end = p + line.size();
-
-    const char *const digits = p;
-    uint64_t cycle = 0;
-    while (p != end && p - digits < 20 &&
-           static_cast<unsigned>(*p - '0') < 10)
-        cycle = 10 * cycle + static_cast<unsigned>(*p++ - '0');
-    if (p == digits || p - digits > 19)
-        return false;
-
-    AccessKind kind = AccessKind::InstructionFetch;
-    if (end - p < 4 || p[0] != ' ' || p[2] != ' ' ||
-        !kindFromLetter(p[1], kind))
-        return false;
-    p += 3;
-
-    const char *const hex = p;
-    uint32_t address = 0;
-    unsigned digit = 0;
-    while (p != end && p - hex < 9 && (digit = hexValue(*p)) < 16) {
-        address = address << 4 | digit;
-        ++p;
-    }
-    if (p == hex || p - hex > 8)
-        return false;
-    if (p != end && !(*p == '\r' && p + 1 == end))
-        return false;
-
-    out.cycle = cycle;
-    out.kind = kind;
-    out.address = address;
-    return true;
-}
-
 /** Little-endian unsigned value of `bytes` bytes at `data`. */
 uint64_t
 getLe(const char *data, unsigned bytes)
@@ -199,10 +134,12 @@ eightHexDigits(uint64_t w, uint32_t &value)
  * reads lies in `rest`: beyond it the buffer holds stale bytes of an
  * earlier block that could complete a partial line.
  *
- * parseCanonical accepts every line taken here with the same values
- * (15 digits are within its 19, 8 hex digits within its 1-8, and
- * '\n' ends the line nextLine() would frame), so taking a line here
- * changes no record, count or message.
+ * parseScanf accepts every line taken here with the same values:
+ * '\n' ends the line nextLine() would frame; %SCNu64 reads the same
+ * digit run, and 15 digits cannot overflow a uint64_t; the format's
+ * " " skips the one space and %c takes the letter; " %x" skips the
+ * next space and reads the same 8 hex digits, which fit an unsigned.
+ * So taking a line here changes no record, count or message.
  */
 size_t
 parseWord(std::string_view rest, TraceRecord &out)
@@ -439,8 +376,6 @@ TraceReader::next(TraceRecord &out)
         }
         if (line.empty() || line[0] == '#')
             continue;
-        if (parseCanonical(line, out))
-            return true;
         // sscanf needs a NUL-terminated copy (a line the injector
         // touched already is one).
         if (line.data() != scratch_.data())

@@ -10,7 +10,7 @@
  *    — 13 bytes/record against ~18 for text.
  *
  * Both readers go through one block buffer. TraceReader takes each
- * text line by the first of three paths that accepts it:
+ * text line by the first of two paths that accepts it:
  *  1. The word path takes exactly the line TraceWriter emits: 1-15
  *     decimal digits, a space, I/L/S, a space, exactly 8 hex digits
  *     (either case) and '\n'. It loads 8-byte words in plain C++,
@@ -21,13 +21,11 @@
  *     to start): past them the buffer holds stale bytes of an
  *     earlier block that could complete a partial line. A line not
  *     wholly buffered, and every line while the FaultInjector is
- *     armed, takes the paths below.
- *  2. parseCanonical takes the writer's form framed by memchr, more
- *     loosely: 1-19 digits, 1-8 hex digits, an optional final '\r'.
- *  3. Every other line goes to the historical
- *     sscanf("%" SCNu64 " %c %x") grammar, and is skipped against
- *     the error budget when that rejects it.
- * Each path accepts a subset of the next one's lines with the same
+ *     armed, takes the path below.
+ *  2. Every other line is framed by memchr and goes to the
+ *     historical sscanf("%" SCNu64 " %c %x") grammar, and is
+ *     skipped against the error budget when that rejects it.
+ * sscanf accepts every line the word path takes, with the same
  * values, so records, linesRead(), skippedLines(), warnings and
  * fatal errors are those of the sscanf grammar alone. On one thread
  * over 1.5M records with 7-digit cycles (4-vCPU VM) TraceReader takes

@@ -6,16 +6,16 @@
  * ReferenceTraceReader below is that reader kept verbatim: one
  * std::getline per line and the "%" SCNu64 " %c %x" sscanf grammar.
  * TraceReader reads blocks, takes the writer's exact line a word at
- * a time, frames every other line with memchr and parses the
- * canonical form by hand, handing the rest to the same sscanf. Each
- * case writes a trace with TraceWriter, applies seeded edits to its
- * bytes (bit flips, inserted and deleted blanks, signs, 0x prefixes,
- * 20-digit and overflowing cycles, 9+ and 17+ hex digits, CRLF and
- * bare CR lines, embedded NULs, comments, empty lines, trailing text,
- * a missing final newline, a line longer than one block) and
- * requires both readers to agree at error budgets 0, 1 and
- * unlimited: the same records in order, the same skippedLines() and
- * linesRead(), the same FatalError, and the same log messages.
+ * a time and frames every other line with memchr, handing it to the
+ * same sscanf. Each case writes a trace with TraceWriter, applies
+ * seeded edits to its bytes (bit flips, inserted and deleted blanks,
+ * signs, 0x prefixes, 20-digit and overflowing cycles, 9+ and 17+
+ * hex digits, CRLF and bare CR lines, embedded NULs, comments, empty
+ * lines, trailing text, a missing final newline, a line longer than
+ * one block) and requires both readers to agree at error budgets 0,
+ * 1 and unlimited: the same records in order, the same
+ * skippedLines() and linesRead(), the same FatalError, and the same
+ * log messages.
  *
  * A quarter of the cases also probe the word path's limits: lines
  * with 1-20 digit cycles and 7-9 digit addresses in lower, upper and
