@@ -31,7 +31,7 @@
  * over 1.5M records with 7-digit cycles (4-vCPU VM) TraceReader takes
  * ~14 ns/record (~55 before the word path) and BinaryTraceReader
  * ~17 ns/record; traced fig4-trace-file reads trace.ns_per_record
- * ~18 ns/record (58 before), one seed-2 run each.
+ * 16-27 ns/record (58 before) in single seed-2 runs.
  *
  * Error handling follows docs/ROBUSTNESS.md: open failures and
  * structural defects (bad magic, truncated binary records) are
