@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "encoding/schemes.hh"
+#include "encoding/encoder.hh"
 #include "sim/experiment.hh"
 #include "trace/profile.hh"
 #include "trace/synthetic.hh"
@@ -75,9 +75,7 @@ main(int argc, char **argv)
     for (EncodingScheme scheme :
          {EncodingScheme::Unencoded, EncodingScheme::BusInvert,
           EncodingScheme::OddEvenBusInvert,
-          EncodingScheme::CouplingDrivenBusInvert,
-          EncodingScheme::Gray, EncodingScheme::T0,
-          EncodingScheme::Offset}) {
+          EncodingScheme::CouplingDrivenBusInvert}) {
         EnergyCell cell = runEnergyStudy(bench, tech, scheme, 31,
                                          cycles);
         double total =
@@ -93,38 +91,8 @@ main(int argc, char **argv)
                         unencoded_total);
     }
 
-    // Segmented bus-invert is parameterized, so it goes through the
-    // custom-encoder hook rather than the scheme enum.
-    for (unsigned segments : {2u, 4u}) {
-        BusSimConfig config;
-        config.coupling_radius = 31;
-        config.record_samples = false;
-        config.thermal.stack_mode = StackMode::None;
-        config.encoder_factory = [segments] {
-            return std::make_unique<SegmentedBusInvert>(32,
-                                                        segments);
-        };
-        TwinBusSimulator twin(tech, config);
-        SyntheticCpu cpu(benchmarkProfile(bench), 1, cycles);
-        twin.run(cpu);
-        double total =
-            (twin.instructionBus().totalEnergy().total() +
-             twin.dataBus().totalEnergy().total()).raw();
-        std::printf("%-28s %6u | %13.5e %13.5e | %13.5e (%+.1f%%)\n",
-                    twin.instructionBus().encoder().name().c_str(),
-                    32 + segments,
-                    twin.instructionBus().totalEnergy()
-                        .total().raw(),
-                    twin.dataBus().totalEnergy().total().raw(),
-                    total,
-                    100.0 * (total - unencoded_total) /
-                        unencoded_total);
-    }
-
     std::printf("\nNegative %% = saves energy vs unencoded. The "
                 "paper's finding: on real address\nstreams the "
-                "bus-invert family offers little or nothing — check "
-                "whether Gray/T0\n(which exploit sequentiality "
-                "directly) do better on this workload.\n");
+                "bus-invert family offers little or nothing.\n");
     return 0;
 }

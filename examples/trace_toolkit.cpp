@@ -5,17 +5,15 @@
  * (collect), custom scripts (filter), and its model (analyze).
  *
  * Usage:
- *   trace_toolkit gen <benchmark> <cycles> <out.{txt|nbt}> [seed]
- *   trace_toolkit convert <in.{txt|nbt}> <out.{txt|nbt}>
- *   trace_toolkit stats <in.{txt|nbt}>
+ *   trace_toolkit gen <benchmark> <cycles> <out> [seed]
+ *   trace_toolkit convert <in> <out>
+ *   trace_toolkit stats <in>
  *
- * Files ending in .nbt use the packed binary format; anything else
- * is the human-readable text format.
+ * Every file is in the text trace format (trace/io.hh).
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 
 #include "trace/io.hh"
@@ -28,42 +26,18 @@ using namespace nanobus;
 
 namespace {
 
-bool
-isBinaryPath(const std::string &path)
-{
-    return path.size() >= 4 &&
-        path.compare(path.size() - 4, 4, ".nbt") == 0;
-}
-
-std::unique_ptr<TraceSource>
-openTrace(const std::string &path)
-{
-    if (isBinaryPath(path))
-        return std::make_unique<BinaryTraceReader>(path);
-    return std::make_unique<TraceReader>(path);
-}
-
 void
 writeAll(TraceSource &source, const std::string &path)
 {
     TraceRecord r;
     uint64_t count = 0;
-    if (isBinaryPath(path)) {
-        BinaryTraceWriter writer(path);
-        while (source.next(r)) {
-            writer.write(r);
-            ++count;
-        }
-        writer.flush();
-    } else {
-        TraceWriter writer(path);
-        writer.comment("nanobus trace");
-        while (source.next(r)) {
-            writer.write(r);
-            ++count;
-        }
-        writer.flush();
+    TraceWriter writer(path);
+    writer.comment("nanobus trace");
+    while (source.next(r)) {
+        writer.write(r);
+        ++count;
     }
+    writer.flush();
     std::printf("wrote %llu records to %s\n",
                 static_cast<unsigned long long>(count), path.c_str());
 }
@@ -89,8 +63,8 @@ cmdConvert(int argc, char **argv)
 {
     if (argc < 4)
         fatal("usage: trace_toolkit convert <in> <out>");
-    auto in = openTrace(argv[2]);
-    writeAll(*in, argv[3]);
+    TraceReader in(argv[2]);
+    writeAll(in, argv[3]);
     return 0;
 }
 
@@ -99,9 +73,9 @@ cmdStats(int argc, char **argv)
 {
     if (argc < 3)
         fatal("usage: trace_toolkit stats <in>");
-    auto in = openTrace(argv[2]);
+    TraceReader in(argv[2]);
     TraceStatistics stats;
-    stats.consume(*in);
+    stats.consume(in);
 
     std::printf("trace: %s\n", argv[2]);
     std::printf("  cycles (last seen)   : %llu\n",

@@ -3,7 +3,6 @@
 #include "encoding/schemes.hh"
 #include "energy/transition.hh"
 #include "util/bitops.hh"
-#include "util/contracts.hh"
 #include "util/logging.hh"
 
 namespace nanobus {
@@ -32,12 +31,6 @@ schemeName(EncodingScheme scheme)
         return "odd-even-bus-invert";
       case EncodingScheme::CouplingDrivenBusInvert:
         return "coupling-driven-bus-invert";
-      case EncodingScheme::Gray:
-        return "gray";
-      case EncodingScheme::T0:
-        return "t0";
-      case EncodingScheme::Offset:
-        return "offset";
     }
     return "?";
 }
@@ -47,17 +40,6 @@ BusEncoder::BusEncoder(unsigned data_width)
 {
     if (data_width == 0 || data_width > 62)
         fatal("BusEncoder: data width %u outside [1, 62]", data_width);
-}
-
-void
-BusEncoder::encodeBatch(std::span<const uint64_t> data,
-                        std::span<uint64_t> bus)
-{
-    NANOBUS_EXPECT(data.size() == bus.size(),
-                   "encodeBatch: %zu data words but %zu bus slots",
-                   data.size(), bus.size());
-    for (size_t k = 0; k < data.size(); ++k)
-        bus[k] = encode(data[k]);
 }
 
 unsigned
@@ -116,12 +98,6 @@ makeEncoder(EncodingScheme scheme, unsigned data_width)
         return std::make_unique<OddEvenBusInvert>(data_width);
       case EncodingScheme::CouplingDrivenBusInvert:
         return std::make_unique<CouplingDrivenBusInvert>(data_width);
-      case EncodingScheme::Gray:
-        return std::make_unique<GrayEncoder>(data_width);
-      case EncodingScheme::T0:
-        return std::make_unique<T0Encoder>(data_width);
-      case EncodingScheme::Offset:
-        return std::make_unique<OffsetEncoder>(data_width);
     }
     panic("makeEncoder: unknown scheme %d", static_cast<int>(scheme));
 }

@@ -26,9 +26,6 @@ enum class EncodingScheme {
     BusInvert,
     OddEvenBusInvert,
     CouplingDrivenBusInvert,
-    Gray,
-    T0,
-    Offset,
 };
 
 /** All schemes evaluated in Fig 3 of the paper, in its order. */
@@ -66,22 +63,19 @@ class BusEncoder
      * sequential encode() calls would. The spans must be the same
      * size and may not alias.
      *
-     * The base implementation is the per-word loop. BusInvert,
-     * OddEvenBusInvert and CouplingDrivenBusInvert override it with
+     * BusInvert, OddEvenBusInvert and CouplingDrivenBusInvert run
      * devirtualized loops that hoist the latched state into locals;
-     * Unencoded, Gray and Offset override it with element-wise loops
-     * over the whole batch. Every override is bit-identical to the
-     * per-word path, pinned by
+     * Unencoded is an element-wise loop over the whole batch. Each is
+     * bit-identical to the per-word encode(), pinned by
      * tests/encoding/test_encode_batch_edges.cc and
      * tests/sim/test_pipeline_batch.cc.
      */
     virtual void encodeBatch(std::span<const uint64_t> data,
-                             std::span<uint64_t> bus);
+                             std::span<uint64_t> bus) = 0;
 
     /**
-     * Recover the data word from a received bus word. Stateful
-     * schemes (T0) track the decode history themselves; calling
-     * decode exactly once per encode, in order, is required.
+     * Recover the data word from a received bus word. Every scheme
+     * decodes from the bus word alone.
      */
     virtual uint64_t decode(uint64_t bus_word) = 0;
 
@@ -92,26 +86,16 @@ class BusEncoder
      * Append the encoder's full mutable state to `out` as opaque
      * 64-bit words, for checkpoint/resume (sim/snapshot.hh). A
      * restored encoder continues the stream bit-identically to one
-     * that never stopped. Returns false when the encoder does not
-     * support snapshotting (the default for out-of-tree encoders);
-     * every in-tree scheme overrides both hooks.
+     * that never stopped.
      */
-    virtual bool captureState(std::vector<uint64_t> &out) const
-    {
-        (void)out;
-        return false;
-    }
+    virtual void captureState(std::vector<uint64_t> &out) const = 0;
 
     /**
      * Restore state captured by captureState() on an identically
-     * configured encoder. Returns false when unsupported or when
-     * `words` has the wrong shape for this scheme.
+     * configured encoder. Returns false when `words` has the wrong
+     * shape for this scheme (snapshots are read from files).
      */
-    virtual bool restoreState(std::span<const uint64_t> words)
-    {
-        (void)words;
-        return false;
-    }
+    virtual bool restoreState(std::span<const uint64_t> words) = 0;
 
   protected:
     explicit BusEncoder(unsigned data_width);

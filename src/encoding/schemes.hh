@@ -13,8 +13,6 @@
 #ifndef NANOBUS_ENCODING_SCHEMES_HH
 #define NANOBUS_ENCODING_SCHEMES_HH
 
-#include <utility>
-
 #include "encoding/encoder.hh"
 
 namespace nanobus {
@@ -32,7 +30,7 @@ class UnencodedBus : public BusEncoder
                      std::span<uint64_t> bus) override;
     uint64_t decode(uint64_t bus_word) override;
     void reset(uint64_t initial_bus_word) override;
-    bool captureState(std::vector<uint64_t> &out) const override;
+    void captureState(std::vector<uint64_t> &out) const override;
     bool restoreState(std::span<const uint64_t> words) override;
 
   private:
@@ -56,7 +54,7 @@ class BusInvert : public BusEncoder
                      std::span<uint64_t> bus) override;
     uint64_t decode(uint64_t bus_word) override;
     void reset(uint64_t initial_bus_word) override;
-    bool captureState(std::vector<uint64_t> &out) const override;
+    void captureState(std::vector<uint64_t> &out) const override;
     bool restoreState(std::span<const uint64_t> words) override;
 
   private:
@@ -81,7 +79,7 @@ class OddEvenBusInvert : public BusEncoder
                      std::span<uint64_t> bus) override;
     uint64_t decode(uint64_t bus_word) override;
     void reset(uint64_t initial_bus_word) override;
-    bool captureState(std::vector<uint64_t> &out) const override;
+    void captureState(std::vector<uint64_t> &out) const override;
     bool restoreState(std::span<const uint64_t> words) override;
 
   private:
@@ -111,124 +109,11 @@ class CouplingDrivenBusInvert : public BusEncoder
                      std::span<uint64_t> bus) override;
     uint64_t decode(uint64_t bus_word) override;
     void reset(uint64_t initial_bus_word) override;
-    bool captureState(std::vector<uint64_t> &out) const override;
+    void captureState(std::vector<uint64_t> &out) const override;
     bool restoreState(std::span<const uint64_t> words) override;
 
   private:
     uint64_t last_bus_ = 0;
-};
-
-/**
- * Binary-reflected Gray code (extension; not in the paper's Fig 3).
- * Sequential addresses differ in exactly one bus line.
- */
-class GrayEncoder : public BusEncoder
-{
-  public:
-    explicit GrayEncoder(unsigned data_width);
-
-    std::string name() const override { return "gray"; }
-    unsigned busWidth() const override { return data_width_; }
-    uint64_t encode(uint64_t data) override;
-    void encodeBatch(std::span<const uint64_t> data,
-                     std::span<uint64_t> bus) override;
-    uint64_t decode(uint64_t bus_word) override;
-    void reset(uint64_t initial_bus_word) override;
-    bool captureState(std::vector<uint64_t> &out) const override;
-    bool restoreState(std::span<const uint64_t> words) override;
-};
-
-/**
- * T0 coding (extension): an INC line signals "previous address +
- * stride"; the payload freezes during sequential runs, eliminating
- * all payload transitions for in-stride streams.
- */
-class T0Encoder : public BusEncoder
-{
-  public:
-    /** @param stride Address increment signalled by the INC line. */
-    T0Encoder(unsigned data_width, uint64_t stride = 4);
-
-    std::string name() const override { return "t0"; }
-    unsigned busWidth() const override { return data_width_ + 1; }
-    uint64_t encode(uint64_t data) override;
-    uint64_t decode(uint64_t bus_word) override;
-    void reset(uint64_t initial_bus_word) override;
-    bool captureState(std::vector<uint64_t> &out) const override;
-    bool restoreState(std::span<const uint64_t> words) override;
-
-  private:
-    uint64_t stride_;
-    uint64_t last_bus_ = 0;
-    uint64_t last_data_tx_ = 0;
-    uint64_t last_data_rx_ = 0;
-    bool tx_primed_ = false;
-    bool rx_primed_ = false;
-};
-
-/**
- * Segmented (partial) bus-invert (extension): the bus is split into
- * `segments` contiguous groups, each with its own invert line and an
- * independent majority vote. Finer segmentation catches localized
- * bursts (e.g. a flipping low-order byte) that a whole-bus vote
- * misses, at one extra line per segment. Invert lines occupy the bus
- * MSB positions, one per segment in ascending segment order.
- */
-class SegmentedBusInvert : public BusEncoder
-{
-  public:
-    /**
-     * @param data_width Payload width.
-     * @param segments Number of groups (1 = classic bus-invert);
-     *        must not exceed data_width.
-     */
-    SegmentedBusInvert(unsigned data_width, unsigned segments);
-
-    std::string name() const override;
-    unsigned busWidth() const override
-    {
-        return data_width_ + segments_;
-    }
-    uint64_t encode(uint64_t data) override;
-    uint64_t decode(uint64_t bus_word) override;
-    void reset(uint64_t initial_bus_word) override;
-    bool captureState(std::vector<uint64_t> &out) const override;
-    bool restoreState(std::span<const uint64_t> words) override;
-
-    /** Payload bit range [lo, hi) of segment s. */
-    std::pair<unsigned, unsigned> segmentRange(unsigned s) const;
-
-  private:
-    unsigned segments_;
-    uint64_t last_bus_ = 0;
-};
-
-/**
- * Offset (difference-based) coding (extension): transmit the
- * arithmetic difference data(t) - data(t-1) mod 2^w; the receiver
- * accumulates. In-stride address streams produce a constant bus word
- * (the stride), eliminating transitions entirely without any extra
- * line — the natural exploit of the sequentiality that defeats the
- * bus-invert family in the paper's Fig 3.
- */
-class OffsetEncoder : public BusEncoder
-{
-  public:
-    explicit OffsetEncoder(unsigned data_width);
-
-    std::string name() const override { return "offset"; }
-    unsigned busWidth() const override { return data_width_; }
-    uint64_t encode(uint64_t data) override;
-    void encodeBatch(std::span<const uint64_t> data,
-                     std::span<uint64_t> bus) override;
-    uint64_t decode(uint64_t bus_word) override;
-    void reset(uint64_t initial_bus_word) override;
-    bool captureState(std::vector<uint64_t> &out) const override;
-    bool restoreState(std::span<const uint64_t> words) override;
-
-  private:
-    uint64_t last_data_tx_ = 0;
-    uint64_t acc_rx_ = 0;
 };
 
 } // namespace nanobus

@@ -15,19 +15,11 @@ BusSimulator::BusSimulator(const TechnologyNode &tech,
                            const BusSimConfig &config,
                            const CapacitanceMatrix *caps)
     : tech_(tech), config_(config),
-      encoder_(config.encoder_factory
-                   ? config.encoder_factory()
-                   : makeEncoder(config.scheme, config.data_width)),
+      encoder_(makeEncoder(config.scheme, config.data_width)),
       interval_end_(config.interval_cycles)
 {
     if (config_.interval_cycles == 0)
         fatal("BusSimulator: interval length must be positive");
-    if (!encoder_)
-        fatal("BusSimulator: encoder factory returned null");
-    if (encoder_->dataWidth() != config_.data_width)
-        fatal("BusSimulator: encoder is for %u-bit payloads but the "
-              "config says %u", encoder_->dataWidth(),
-              config_.data_width);
 
     const unsigned bus_width = encoder_->busWidth();
 

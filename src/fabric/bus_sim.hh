@@ -15,7 +15,6 @@
 #ifndef NANOBUS_FABRIC_BUS_SIM_HH
 #define NANOBUS_FABRIC_BUS_SIM_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -91,13 +90,6 @@ struct BusSimConfig
     unsigned data_width = 32;
     /** Encoding scheme driving the bus. */
     EncodingScheme scheme = EncodingScheme::Unencoded;
-    /**
-     * Custom encoder factory; when set it overrides `scheme` —
-     * used for encoders outside the EncodingScheme enum (e.g. a
-     * parameterized SegmentedBusInvert). Must produce encoders for
-     * `data_width` payloads.
-     */
-    std::function<std::unique_ptr<BusEncoder>()> encoder_factory;
     /** Physical wire length. */
     Meters wire_length{0.010};
     /** Coupling radius for the energy model (see BusEnergyModel). */
@@ -248,9 +240,8 @@ class BusSimulator
      * the recorded time series — into `w` (implemented in
      * fabric/bus_snapshot.cc; format documented in
      * docs/ROBUSTNESS.md).
-     * Fails when the encoder does not support state capture.
      */
-    [[nodiscard]] Status saveState(SnapshotWriter &w) const;
+    void saveState(SnapshotWriter &w) const;
 
     /**
      * Restore state written by saveState() into an identically

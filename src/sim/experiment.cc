@@ -116,13 +116,8 @@ tryRobustTraceSweep(const std::string &trace_path,
 
     // Resolve the physical bus width up front so a mis-sized
     // extraction can be rejected before construction fatals.
-    std::unique_ptr<BusEncoder> probe = config.encoder_factory
-        ? config.encoder_factory()
-        : makeEncoder(config.scheme, config.data_width);
-    if (!probe)
-        fatal("tryRobustTraceSweep: encoder factory returned null");
-    const unsigned bus_width = probe->busWidth();
-    probe.reset();
+    const unsigned bus_width =
+        makeEncoder(config.scheme, config.data_width)->busWidth();
 
     CapacitanceMatrix caps(1);
     const CapacitanceMatrix *caps_ptr = nullptr;

@@ -24,19 +24,15 @@
 
 namespace nanobus {
 
-Result<std::string>
+std::string
 encodeTwinSnapshot(const TwinBusSimulator &twin,
                    const SimCheckpoint &cursor)
 {
     SnapshotWriter w;
     w.putU64(cursor.records);
     w.putU64(cursor.last_cycle);
-    Status ia = twin.instructionBus().saveState(w);
-    if (!ia.ok())
-        return ia.error();
-    Status da = twin.dataBus().saveState(w);
-    if (!da.ok())
-        return da.error();
+    twin.instructionBus().saveState(w);
+    twin.dataBus().saveState(w);
     return w.buffer();
 }
 
@@ -63,10 +59,7 @@ saveTwinCheckpoint(const std::string &path,
                    const TwinBusSimulator &twin,
                    const SimCheckpoint &cursor)
 {
-    Result<std::string> payload = encodeTwinSnapshot(twin, cursor);
-    if (!payload.ok())
-        return payload.error();
-    return saveSnapshotFile(path, payload.value());
+    return saveSnapshotFile(path, encodeTwinSnapshot(twin, cursor));
 }
 
 Result<SimCheckpoint>

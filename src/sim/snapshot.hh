@@ -44,11 +44,10 @@ struct SimCheckpoint
 /**
  * Serialize the twin's full mutable state plus the stream cursor
  * into a snapshot payload (no container header; pair with
- * saveSnapshotFile, or use saveTwinCheckpoint below). Fails when an
- * encoder does not support state capture.
+ * saveSnapshotFile, or use saveTwinCheckpoint below).
  */
-Result<std::string> encodeTwinSnapshot(const TwinBusSimulator &twin,
-                                       const SimCheckpoint &cursor);
+std::string encodeTwinSnapshot(const TwinBusSimulator &twin,
+                               const SimCheckpoint &cursor);
 
 /**
  * Restore a payload produced by encodeTwinSnapshot into an

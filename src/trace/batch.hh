@@ -49,7 +49,7 @@ class ThreadPool;
 /** Default records per batch; amortizes dispatch without letting the
  *  double buffers outgrow the L2. 8192 16-byte TraceRecords are
  *  128 KiB per buffer, read from ~143 KiB of text trace (~17.9
- *  B/record) or 104 KiB of binary trace (13 B/record). */
+ *  B/record). */
 constexpr size_t kDefaultTraceBatchSize = 8192;
 
 /**

@@ -42,17 +42,6 @@ kindFromLetter(char c, AccessKind &kind)
     }
 }
 
-/** Little-endian unsigned value of `bytes` bytes at `data`. */
-uint64_t
-getLe(const char *data, unsigned bytes)
-{
-    uint64_t value = 0;
-    for (unsigned i = 0; i < bytes; ++i)
-        value |= static_cast<uint64_t>(static_cast<unsigned char>(
-                     data[i])) << (8 * i);
-    return value;
-}
-
 /** The eight bytes at `p` as one word, the first in the low byte:
  *  one load on a little-endian host. */
 uint64_t
@@ -63,7 +52,11 @@ loadWord(const char *p)
         std::memcpy(&w, p, sizeof(w));
         return w;
     } else {
-        return getLe(p, 8);
+        uint64_t w = 0;
+        for (unsigned i = 0; i < 8; ++i)
+            w |= static_cast<uint64_t>(static_cast<unsigned char>(p[i]))
+                << (8 * i);
+        return w;
     }
 }
 
@@ -208,12 +201,11 @@ parseScanf(const char *line, TraceRecord &out)
 } // anonymous namespace
 
 bool
-TraceFileBuffer::open(const std::string &path,
-                      std::ios::openmode mode)
+TraceFileBuffer::open(const std::string &path)
 {
     in_.close();
     in_.clear();
-    in_.open(path, mode);
+    in_.open(path);
     buf_.clear(); // the first refill allocates: opening stays cheap
     pos_ = 0;
     end_ = 0;
@@ -272,17 +264,6 @@ TraceFileBuffer::nextLine(std::string_view &line)
             return true;
         }
     }
-}
-
-size_t
-TraceFileBuffer::take(size_t n, const char *&data)
-{
-    while (end_ - pos_ < n && refill()) {
-    }
-    const size_t got = std::min(n, end_ - pos_);
-    data = buf_.data() + pos_;
-    pos_ += got;
-    return got;
 }
 
 TraceWriter::TraceWriter(const std::string &path)
@@ -400,105 +381,6 @@ TraceReader::next(TraceRecord &out)
         inform("TraceReader: %s: skipped %zu malformed line(s) of %zu",
                path_.c_str(), skipped_, line_);
     return false;
-}
-
-namespace {
-
-/** Binary format header: magic + format version. */
-constexpr char binary_magic[4] = {'N', 'B', 'T', 'R'};
-constexpr uint32_t binary_version = 1;
-
-void
-putLe(std::ofstream &out, uint64_t value, unsigned bytes)
-{
-    for (unsigned i = 0; i < bytes; ++i)
-        out.put(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-/** Header bytes: magic, then a little-endian u32 version. */
-constexpr size_t binary_header_bytes = sizeof(binary_magic) + 4;
-/** Record bytes: u64 cycle, u32 address, u8 kind. */
-constexpr size_t binary_record_bytes = 8 + 4 + 1;
-
-} // anonymous namespace
-
-BinaryTraceWriter::BinaryTraceWriter(const std::string &path)
-    : out_(path, std::ios::binary), path_(path)
-{
-    if (!out_)
-        fatal("BinaryTraceWriter: cannot open '%s' for writing",
-              path.c_str());
-    out_.write(binary_magic, sizeof(binary_magic));
-    putLe(out_, binary_version, 4);
-}
-
-void
-BinaryTraceWriter::noteFailure()
-{
-    if (failed_)
-        return;
-    failed_ = true;
-    warn("BinaryTraceWriter: write to '%s' failed (disk full?); "
-         "records are being lost", path_.c_str());
-}
-
-void
-BinaryTraceWriter::write(const TraceRecord &record)
-{
-    putLe(out_, record.cycle, 8);
-    putLe(out_, record.address, 4);
-    putLe(out_, static_cast<uint64_t>(record.kind), 1);
-    if (!out_)
-        noteFailure();
-}
-
-void
-BinaryTraceWriter::flush()
-{
-    out_.flush();
-    if (failed_ || !out_)
-        fatal("BinaryTraceWriter: failed to write '%s' (disk full?)",
-              path_.c_str());
-}
-
-BinaryTraceReader::BinaryTraceReader(const std::string &path)
-    : path_(path)
-{
-    if (!in_.open(path, std::ios::in | std::ios::binary))
-        fatal("BinaryTraceReader: cannot open '%s'", path.c_str());
-    const char *header = nullptr;
-    const size_t got = in_.take(binary_header_bytes, header);
-    if (got < sizeof(binary_magic) ||
-        std::memcmp(header, binary_magic, sizeof(binary_magic)) != 0)
-        fatal("BinaryTraceReader: '%s' is not a nanobus binary "
-              "trace", path.c_str());
-    if (got < binary_header_bytes)
-        fatal("binary trace: %s: truncated header", path.c_str());
-    const uint64_t version = getLe(header + sizeof(binary_magic), 4);
-    if (version != binary_version)
-        fatal("BinaryTraceReader: '%s' has unsupported version %llu",
-              path.c_str(),
-              static_cast<unsigned long long>(version));
-}
-
-bool
-BinaryTraceReader::next(TraceRecord &out)
-{
-    const char *record = nullptr;
-    const size_t got = in_.take(binary_record_bytes, record);
-    if (got == 0)
-        return false;
-    if (got < binary_record_bytes)
-        fatal("BinaryTraceReader: %s: truncated record",
-              path_.c_str());
-    const uint64_t kind = getLe(record + 12, 1);
-    if (kind > static_cast<uint64_t>(AccessKind::Store))
-        fatal("BinaryTraceReader: %s: bad access kind %llu",
-              path_.c_str(), static_cast<unsigned long long>(kind));
-    out.cycle = getLe(record, 8);
-    out.address = static_cast<uint32_t>(getLe(record + 8, 4));
-    out.kind = static_cast<AccessKind>(kind);
-    return true;
 }
 
 std::vector<TraceRecord>

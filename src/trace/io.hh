@@ -2,15 +2,12 @@
  * @file
  * Trace file IO.
  *
- * Two formats:
- *  - text: one record per line, `<cycle> <kind> <hex address>` with
- *    kind one of I/L/S; lines starting with '#' are comments.
- *  - binary: a 8-byte header ("NBTR" magic + version) followed by
- *    packed little-endian records (u64 cycle, u32 address, u8 kind)
- *    — 13 bytes/record against ~18 for text.
+ * One text format: one record per line, `<cycle> <kind> <hex
+ * address>` with kind one of I/L/S; lines starting with '#' are
+ * comments.
  *
- * Both readers go through one block buffer. TraceReader takes each
- * text line by the first of two paths that accepts it:
+ * TraceReader reads through one block buffer and takes each line by
+ * the first of two paths that accepts it:
  *  1. The word path takes exactly the line TraceWriter emits: 1-15
  *     decimal digits, a space, I/L/S, a space, exactly 8 hex digits
  *     (either case) and '\n'. It loads 8-byte words in plain C++,
@@ -29,17 +26,16 @@
  * values, so records, linesRead(), skippedLines(), warnings and
  * fatal errors are those of the sscanf grammar alone. On one thread
  * over 1.5M records with 7-digit cycles (4-vCPU VM) TraceReader takes
- * ~14 ns/record (~55 before the word path) and BinaryTraceReader
- * ~17 ns/record; traced fig4-trace-file reads trace.ns_per_record
- * 16-27 ns/record (58 before) in single seed-2 runs.
+ * ~14 ns/record (~55 before the word path); traced fig4-trace-file
+ * reads trace.ns_per_record 16-27 ns/record (58 before) in single
+ * seed-2 runs.
  *
- * Error handling follows docs/ROBUSTNESS.md: open failures and
- * structural defects (bad magic, truncated binary records) are
- * fatal(); *content* defects in text traces (malformed lines) are
- * recoverable — TraceReader skips them up to a configurable error
- * budget and reports the skip count, so one corrupted line in a
- * multi-gigabyte trace does not kill a batch sweep. Writers latch
- * and report stream failures instead of silently losing records.
+ * Error handling follows docs/ROBUSTNESS.md: open failures are
+ * fatal(); *content* defects (malformed lines) are recoverable —
+ * TraceReader skips them up to a configurable error budget and
+ * reports the skip count, so one corrupted line in a multi-gigabyte
+ * trace does not kill a batch sweep. The writer latches and reports
+ * stream failures instead of silently losing records.
  */
 
 #ifndef NANOBUS_TRACE_IO_HH
@@ -61,20 +57,18 @@ namespace nanobus {
 constexpr size_t kTraceBlockSize = 256 * 1024;
 
 /**
- * Block-buffered sequential input over one trace file, shared by
- * TraceReader and BinaryTraceReader: one ifstream::read per block
- * instead of a stream call per line or byte, and no per-record
- * allocation. A line or record that straddles a refill is moved to
- * the front of the buffer; the buffer grows only when one line is
- * longer than the whole buffer.
+ * Block-buffered sequential input over one trace file, for
+ * TraceReader: one ifstream::read per block instead of a stream call
+ * per line, and no per-record allocation. A line that straddles a
+ * refill is moved to the front of the buffer; the buffer grows only
+ * when one line is longer than the whole buffer.
  */
 class TraceFileBuffer
 {
   public:
     /** (Re)open `path` and drop any buffered bytes; false if the file
      *  cannot be opened. */
-    bool open(const std::string &path,
-              std::ios::openmode mode = std::ios::in);
+    bool open(const std::string &path);
 
     /**
      * Next line without its '\n', with std::getline's framing: a
@@ -83,11 +77,6 @@ class TraceFileBuffer
      * call. False at end of file.
      */
     bool nextLine(std::string_view &line);
-
-    /** Point `data` at the next `n` bytes and consume them; returns
-     *  how many there are, fewer than `n` only at end of file. Valid
-     *  until the next call. */
-    size_t take(size_t n, const char *&data);
 
     /** The buffered bytes not yet consumed, possibly ending mid-line;
      *  empty before the first read. Never refills. Valid until the
@@ -187,45 +176,6 @@ class TraceReader : public TraceSource
     size_t line_ = 0;
     size_t error_budget_ = 0;
     size_t skipped_ = 0;
-};
-
-/** Streamed binary-format trace writer. */
-class BinaryTraceWriter
-{
-  public:
-    /** Open `path`, truncating, and emit the header. */
-    explicit BinaryTraceWriter(const std::string &path);
-
-    /** Append one record (failures latch good(), see TraceWriter). */
-    void write(const TraceRecord &record);
-
-    /** Flush to disk; fatal() if any write failed. */
-    void flush();
-
-    /** True while every write so far has succeeded. */
-    bool good() const { return !failed_ && out_.good(); }
-
-  private:
-    void noteFailure();
-
-    std::ofstream out_;
-    std::string path_;
-    bool failed_ = false;
-};
-
-/** Streamed binary-format trace reader implementing TraceSource. */
-class BinaryTraceReader : public TraceSource
-{
-  public:
-    /** Open `path` and validate the header; fatal() on mismatch or
-     *  truncation. */
-    explicit BinaryTraceReader(const std::string &path);
-
-    bool next(TraceRecord &out) override;
-
-  private:
-    TraceFileBuffer in_;
-    std::string path_;
 };
 
 /** Read a whole trace file into memory. */

@@ -90,23 +90,6 @@ transposeBits64(uint64_t a[64])
     }
 }
 
-/** Binary-reflected Gray code of a word. */
-inline constexpr uint64_t
-toGray(uint64_t word)
-{
-    return word ^ (word >> 1);
-}
-
-/** Inverse of toGray(). */
-inline constexpr uint64_t
-fromGray(uint64_t gray)
-{
-    uint64_t word = gray;
-    for (unsigned shift = 1; shift < 64; shift <<= 1)
-        word ^= word >> shift;
-    return word;
-}
-
 } // namespace nanobus
 
 #endif // NANOBUS_UTIL_BITOPS_HH

@@ -1,9 +1,9 @@
 /**
  * @file
- * Edge-case coverage for BusEncoder::encodeBatch on the schemes that
- * override it: the devirtualized state-hoisted loops (BusInvert,
- * OddEvenBusInvert, CouplingDrivenBusInvert) and the element-wise
- * lane loops (Unencoded, Gray, Offset). Empty batches, the width-1
+ * Edge-case coverage for BusEncoder::encodeBatch: the devirtualized
+ * state-hoisted loops (BusInvert, OddEvenBusInvert,
+ * CouplingDrivenBusInvert) and the element-wise loop (Unencoded),
+ * each against the per-word encode(). Empty batches, the width-1
  * degenerate bus, all-repeated-word batches, batches after a
  * stateful prefix, and inputs with garbage above the data width.
  * Every case asserts not only the emitted bus words but that the
@@ -136,12 +136,8 @@ TEST(EncodeBatchEdges, RepeatedWordsAfterStatefulPrefix)
     // Split point inside a repeated run: encode a noisy prefix
     // per-word, then the repeated tail as one batch, and require the
     // state to match the pure per-word path. Catches overrides that
-    // re-derive state from the batch instead of the latch — for
-    // Offset, the batch's first difference must be seeded from the
-    // held word (0x55), not from zero or the batch itself.
-    std::vector<EncodingScheme> schemes = invertFamily();
-    schemes.push_back(EncodingScheme::Offset);
-    for (EncodingScheme scheme : schemes) {
+    // re-derive state from the batch instead of the latch.
+    for (EncodingScheme scheme : paperSchemes()) {
         SCOPED_TRACE(schemeName(scheme));
         std::unique_ptr<BusEncoder> batched = makeEncoder(scheme, 8);
         std::unique_ptr<BusEncoder> ref = makeEncoder(scheme, 8);
@@ -156,22 +152,11 @@ TEST(EncodeBatchEdges, RepeatedWordsAfterStatefulPrefix)
 }
 
 // ------------------------------------------------------------------ //
-// The element-wise lane loops (Unencoded, Gray, Offset).
-
-const std::vector<EncodingScheme> &
-elementwiseFamily()
-{
-    static const std::vector<EncodingScheme> schemes = {
-        EncodingScheme::Unencoded,
-        EncodingScheme::Gray,
-        EncodingScheme::Offset,
-    };
-    return schemes;
-}
+// Every scheme, the element-wise Unencoded loop included.
 
 TEST(EncodeBatchSimd, EmptyBatchLeavesStateUntouched)
 {
-    for (EncodingScheme scheme : elementwiseFamily()) {
+    for (EncodingScheme scheme : paperSchemes()) {
         SCOPED_TRACE(schemeName(scheme));
         std::unique_ptr<BusEncoder> batched = makeEncoder(scheme, 32);
         std::unique_ptr<BusEncoder> ref = makeEncoder(scheme, 32);
@@ -188,7 +173,7 @@ TEST(EncodeBatchSimd, WidthOneBus)
         {1, 1, 1, 1, 1},
         {0, 0, 1, 1, 1, 0},
     };
-    for (EncodingScheme scheme : elementwiseFamily()) {
+    for (EncodingScheme scheme : paperSchemes()) {
         for (size_t s = 0; s < streams.size(); ++s) {
             SCOPED_TRACE(testing::Message()
                          << schemeName(scheme) << " stream " << s);
@@ -203,7 +188,7 @@ TEST(EncodeBatchSimd, WidthOneBus)
 
 TEST(EncodeBatchSimd, RepeatedWordsBatch)
 {
-    for (EncodingScheme scheme : elementwiseFamily()) {
+    for (EncodingScheme scheme : paperSchemes()) {
         SCOPED_TRACE(schemeName(scheme));
         std::unique_ptr<BusEncoder> batched = makeEncoder(scheme, 16);
         std::unique_ptr<BusEncoder> ref = makeEncoder(scheme, 16);
@@ -215,10 +200,10 @@ TEST(EncodeBatchSimd, RepeatedWordsBatch)
 TEST(EncodeBatchSimd, GarbageAboveDataWidthIsMasked)
 {
     // Inputs with every bit above the data width set: the batch
-    // loops mask each word (Gray *before* its shift) and must match
-    // the per-word encode() exactly. Length 70 is an odd run, so no
+    // loops mask each word and must match the per-word encode()
+    // exactly. Length 70 is an odd run, so no
     // unrolled loop can hide a mishandled tail.
-    for (EncodingScheme scheme : elementwiseFamily()) {
+    for (EncodingScheme scheme : paperSchemes()) {
         for (unsigned width : {1u, 7u, 31u, 32u, 33u, 62u}) {
             SCOPED_TRACE(testing::Message()
                          << schemeName(scheme) << " width "
@@ -241,25 +226,8 @@ TEST(EncodeBatchSimd, GarbageAboveDataWidthIsMasked)
     }
 }
 
-TEST(EncodeBatchSimd, OffsetStrideStreamEmitsConstantBusWord)
-{
-    // The offset encoder's raison d'être: an in-stride stream
-    // becomes a constant difference. The batch path must reproduce
-    // that (and the per-word parity above pins the state latch).
-    std::unique_ptr<BusEncoder> enc =
-        makeEncoder(EncodingScheme::Offset, 32);
-    std::vector<uint64_t> words(50);
-    for (size_t k = 0; k < words.size(); ++k)
-        words[k] = 0x1000 + 4 * k;
-    std::vector<uint64_t> bus(words.size());
-    enc->encodeBatch(std::span<const uint64_t>(words),
-                     std::span<uint64_t>(bus));
-    for (size_t k = 1; k < bus.size(); ++k)
-        EXPECT_EQ(bus[k], 4u) << "index " << k;
-}
-
 // ------------------------------------------------------------------ //
-// Lane references: each element-wise batch loop against its closed
+// Lane reference: the element-wise batch loop against its closed
 // form per element, over run lengths from 0 to 100 (every short tail
 // an unrolled or vectorized loop could mishandle) and adversarial
 // fills. The SimdParity suite name is kept from the lane-op parity
@@ -307,59 +275,6 @@ TEST(SimdParity, MaskInto)
     }
 }
 
-TEST(SimdParity, GrayIntoMasksGarbageAboveWidth)
-{
-    // Garbage in every bit above the width: the loop must mask the
-    // input *before* the shift, or the stray bit at position `width`
-    // xors into bus bit width-1.
-    Rng rng(0xcafe);
-    for (size_t n : laneLengths) {
-        for (unsigned width : {1u, 31u, 32u, 33u, 62u}) {
-            SCOPED_TRACE(testing::Message()
-                         << "n=" << n << " width=" << width);
-            const uint64_t mask = lowMask(width);
-            std::vector<uint64_t> src(n), want(n);
-            for (size_t k = 0; k < n; ++k) {
-                src[k] = rng.next() | ~mask;
-                const uint64_t t = src[k] & mask;
-                want[k] = t ^ (t >> 1);
-            }
-            std::vector<uint64_t> bus(n, 0xbeefull);
-            makeEncoder(EncodingScheme::Gray, width)
-                ->encodeBatch(src, bus);
-            EXPECT_EQ(bus, want);
-        }
-    }
-}
-
-TEST(SimdParity, DiffIntoMatchesNaive)
-{
-    // Offset's loop emits (data[k] - data[k-1]) & mask, element 0
-    // seeded from the word a per-word encode() latched beforehand.
-    Rng rng(0xd1ff);
-    for (size_t n : laneLengths) {
-        for (unsigned width : {1u, 32u, 62u}) {
-            SCOPED_TRACE(testing::Message()
-                         << "n=" << n << " width=" << width);
-            std::vector<uint64_t> src(n);
-            for (uint64_t &w : src)
-                w = rng.next();
-            const uint64_t first_prev = rng.next();
-            std::vector<uint64_t> want(n);
-            for (size_t k = 0; k < n; ++k) {
-                const uint64_t prev = k == 0 ? first_prev : src[k - 1];
-                want[k] = (src[k] - prev) & lowMask(width);
-            }
-            std::unique_ptr<BusEncoder> enc =
-                makeEncoder(EncodingScheme::Offset, width);
-            enc->encode(first_prev);
-            std::vector<uint64_t> bus(n, 0xf00dull);
-            enc->encodeBatch(src, bus);
-            EXPECT_EQ(bus, want);
-        }
-    }
-}
-
 // ------------------------------------------------------------------ //
 // Energy-kernel independence: the encode stage must be untouched by
 // the Scalar/Packed kernel choice.
@@ -384,17 +299,8 @@ TEST(EncodeBatchKernels, IntervalStraddlingBatchesLeaveIdenticalState)
     // the same traffic in batches that straddle interval boundaries
     // (interval = 100 cycles, batch spans ~180) with idle gaps
     // inside the batch, then require the encoders' captured state to
-    // be byte-identical. All capture-capable schemes, both invert
-    // and element-wise families.
-    const std::vector<EncodingScheme> schemes = {
-        EncodingScheme::Unencoded,
-        EncodingScheme::BusInvert,
-        EncodingScheme::OddEvenBusInvert,
-        EncodingScheme::CouplingDrivenBusInvert,
-        EncodingScheme::Gray,
-        EncodingScheme::Offset,
-    };
-    for (EncodingScheme scheme : schemes) {
+    // be byte-identical, for every scheme.
+    for (EncodingScheme scheme : paperSchemes()) {
         SCOPED_TRACE(schemeName(scheme));
         BusSimulator scalar_sim(
             tech130, kernelConfig(scheme, TransitionKernel::Scalar));
@@ -417,10 +323,8 @@ TEST(EncodeBatchKernels, IntervalStraddlingBatchesLeaveIdenticalState)
             packed_sim.transmitBatch(b);
 
             std::vector<uint64_t> state_s, state_p;
-            ASSERT_TRUE(
-                scalar_sim.encoder().captureState(state_s));
-            ASSERT_TRUE(
-                packed_sim.encoder().captureState(state_p));
+            scalar_sim.encoder().captureState(state_s);
+            packed_sim.encoder().captureState(state_p);
             EXPECT_EQ(state_p, state_s) << "batch " << batch;
         }
         EXPECT_EQ(packed_sim.currentCycle(),

@@ -101,9 +101,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(EncodingScheme::Unencoded,
                           EncodingScheme::BusInvert,
                           EncodingScheme::OddEvenBusInvert,
-                          EncodingScheme::CouplingDrivenBusInvert,
-                          EncodingScheme::Gray, EncodingScheme::T0,
-                          EncodingScheme::Offset),
+                          EncodingScheme::CouplingDrivenBusInvert),
         ::testing::Values(4u, 8u, 16u, 32u)),
     [](const ::testing::TestParamInfo<Param> &info) {
         std::string name = schemeName(std::get<0>(info.param));

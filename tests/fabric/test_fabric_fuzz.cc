@@ -105,16 +105,8 @@ makeCase(uint64_t seed)
         c.fabric.tiles = static_cast<unsigned>(1 + rng.below(6));
     }
 
-    static const EncodingScheme schemes[] = {
-        EncodingScheme::Unencoded,
-        EncodingScheme::BusInvert,
-        EncodingScheme::OddEvenBusInvert,
-        EncodingScheme::CouplingDrivenBusInvert,
-        EncodingScheme::Gray,
-        EncodingScheme::T0,
-        EncodingScheme::Offset,
-    };
-    c.fabric.segment.scheme = schemes[rng.below(7)];
+    const std::vector<EncodingScheme> &schemes = paperSchemes();
+    c.fabric.segment.scheme = schemes[rng.below(schemes.size())];
     c.fabric.segment.data_width =
         static_cast<unsigned>(4 + rng.below(29));
     c.fabric.segment.interval_cycles = 50 + rng.below(900);

@@ -7,7 +7,6 @@
 
 #include <numeric>
 
-#include "encoding/schemes.hh"
 #include "fabric/bus_sim.hh"
 #include "util/logging.hh"
 
@@ -194,31 +193,6 @@ TEST(BusSim, RecordSamplesOffKeepsMemoryFlat)
         sim.transmit(c, static_cast<uint32_t>(c));
     EXPECT_TRUE(sim.samples().empty());
     EXPECT_GT(sim.totalEnergy().total().raw(), 0.0);
-}
-
-TEST(BusSim, CustomEncoderFactoryOverridesScheme)
-{
-    BusSimConfig config = fastConfig();
-    config.scheme = EncodingScheme::Unencoded; // overridden
-    config.encoder_factory = [] {
-        return std::make_unique<SegmentedBusInvert>(16, 4);
-    };
-    BusSimulator sim(tech130, config);
-    EXPECT_EQ(sim.busWidth(), 20u);
-    EXPECT_EQ(sim.encoder().name(), "segmented-bus-invert-4");
-    sim.transmit(0, 0x00ff);
-    EXPECT_GT(sim.totalEnergy().total().raw(), 0.0);
-}
-
-TEST(BusSim, EncoderFactoryWidthMismatchIsFatal)
-{
-    setAbortOnError(false);
-    BusSimConfig config = fastConfig(); // data_width 16
-    config.encoder_factory = [] {
-        return std::make_unique<SegmentedBusInvert>(32, 4);
-    };
-    EXPECT_THROW(BusSimulator(tech130, config), FatalError);
-    setAbortOnError(true);
 }
 
 TEST(BusSim, MismatchedCapMatrixIsFatal)

@@ -98,12 +98,7 @@ bases()
             records.push_back({c, address, kind});
         }
         std::vector<Base> out;
-        for (EncodingScheme scheme :
-             {EncodingScheme::Unencoded, EncodingScheme::BusInvert,
-              EncodingScheme::OddEvenBusInvert,
-              EncodingScheme::CouplingDrivenBusInvert,
-              EncodingScheme::Gray, EncodingScheme::T0,
-              EncodingScheme::Offset}) {
+        for (EncodingScheme scheme : paperSchemes()) {
             for (TransitionKernel kernel :
                  {TransitionKernel::Scalar, TransitionKernel::Packed}) {
                 Base base;
@@ -112,8 +107,7 @@ bases()
                 VectorTraceSource source(records);
                 twin.runPerRecord(source);
                 base.payload =
-                    encodeTwinSnapshot(twin, SimCheckpoint{1200, 1199})
-                        .takeValue();
+                    encodeTwinSnapshot(twin, SimCheckpoint{1200, 1199});
                 out.push_back(std::move(base));
             }
         }
@@ -353,14 +347,16 @@ TEST(CheckpointFuzz, HugeCountAtEveryOffsetIsBounded)
     // written at every 4-byte boundary (u32 fields shift alignment)
     // must be rejected or harmless, never allocated.
     const LogHook previous = setLogHook(quietLog);
-    // T0 carries the largest encoder state; scalar kernel.
-    const Base *t0 = nullptr;
+    // OEBI is the widest bus (data + 2 lines), so it carries the
+    // largest per-line state; scalar kernel.
+    const Base *widest = nullptr;
     for (const Base &candidate : bases())
-        if (candidate.config.scheme == EncodingScheme::T0 &&
+        if (candidate.config.scheme ==
+                EncodingScheme::OddEvenBusInvert &&
             candidate.config.kernel == TransitionKernel::Scalar)
-            t0 = &candidate;
-    ASSERT_NE(t0, nullptr);
-    const Base &base = *t0;
+            widest = &candidate;
+    ASSERT_NE(widest, nullptr);
+    const Base &base = *widest;
     TwinBusSimulator twin(tech130, base.config);
     Tally tally;
     for (uint64_t hostile :

@@ -206,16 +206,8 @@ makeCase(uint64_t seed)
         : shape_draw == 1    ? TraceShape::FaultInjected
                              : TraceShape::Bursty;
 
-    static const EncodingScheme schemes[] = {
-        EncodingScheme::Unencoded,
-        EncodingScheme::BusInvert,
-        EncodingScheme::OddEvenBusInvert,
-        EncodingScheme::CouplingDrivenBusInvert,
-        EncodingScheme::Gray,
-        EncodingScheme::T0,
-        EncodingScheme::Offset,
-    };
-    c.scheme = schemes[rng.below(7)];
+    const std::vector<EncodingScheme> &schemes = paperSchemes();
+    c.scheme = schemes[rng.below(schemes.size())];
     c.kernel = rng.chance(0.5) ? TransitionKernel::Packed
                                : TransitionKernel::Scalar;
 

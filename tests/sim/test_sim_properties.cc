@@ -99,62 +99,6 @@ TEST(SimProperties, TransmissionsConserveAcrossEncoders)
     }
 }
 
-TEST(SimProperties, SequentialExploitersBeatUnencodedOnIaBus)
-{
-    // T0 and offset coding exploit fetch sequentiality directly;
-    // unlike the bus-invert family they must reduce IA energy.
-    EnergyCell plain = runEnergyStudy("swim", tech130,
-                                      EncodingScheme::Unencoded, 31,
-                                      30000);
-    for (EncodingScheme scheme :
-         {EncodingScheme::T0, EncodingScheme::Offset}) {
-        EnergyCell coded = runEnergyStudy("swim", tech130, scheme,
-                                          31, 30000);
-        EXPECT_LT(coded.instruction.total(),
-                  plain.instruction.total())
-            << schemeName(scheme);
-    }
-}
-
-TEST(SimProperties, T0CollapsesSequentialIaEnergy)
-{
-    // In-stride runs freeze the T0 payload entirely: on the most
-    // loop-dominated workload the IA bus energy collapses by an
-    // order of magnitude.
-    EnergyCell plain = runEnergyStudy("swim", tech130,
-                                      EncodingScheme::Unencoded, 31,
-                                      30000);
-    EnergyCell t0 = runEnergyStudy("swim", tech130,
-                                   EncodingScheme::T0, 31, 30000);
-    EXPECT_LT(t0.instruction.total(),
-              0.2 * plain.instruction.total());
-
-    // Offset coding keeps the self-transition count of the backedge
-    // diffs but turns them into same-direction runs, collapsing the
-    // *coupling* component instead.
-    EnergyCell offset = runEnergyStudy("swim", tech130,
-                                       EncodingScheme::Offset, 31,
-                                       30000);
-    EXPECT_LT(offset.instruction.coupling,
-              0.2 * plain.instruction.coupling);
-}
-
-TEST(SimProperties, GrayIsBlindToWordStrides)
-{
-    // A finding worth pinning: binary-reflected Gray only guarantees
-    // single-bit steps for stride-1 sequences. Byte addresses stride
-    // by 4, so Gray buys nothing on a raw instruction address bus
-    // (real designs Gray-code the *word* address instead).
-    EnergyCell plain = runEnergyStudy("swim", tech130,
-                                      EncodingScheme::Unencoded, 31,
-                                      30000);
-    EnergyCell gray = runEnergyStudy("swim", tech130,
-                                     EncodingScheme::Gray, 31,
-                                     30000);
-    EXPECT_NEAR(gray.instruction.total() / plain.instruction.total(),
-                1.0, 0.10);
-}
-
 TEST(SimProperties, EncoderControlLinesCostShowsUpInWidth)
 {
     BusSimConfig config;

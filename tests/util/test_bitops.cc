@@ -95,29 +95,6 @@ TEST(EvenOddMask, EvenHoldsBitZero)
     EXPECT_TRUE(bitOf(oddMask(8), 1));
 }
 
-TEST(GrayCode, RoundTripsExhaustivelyFor10Bits)
-{
-    for (uint64_t value = 0; value < 1024; ++value)
-        EXPECT_EQ(fromGray(toGray(value)), value);
-}
-
-TEST(GrayCode, AdjacentCodesDifferInOneBit)
-{
-    for (uint64_t value = 0; value < 4096; ++value) {
-        uint64_t a = toGray(value);
-        uint64_t b = toGray(value + 1);
-        EXPECT_EQ(popcount(a ^ b), 1u) << "value " << value;
-    }
-}
-
-TEST(GrayCode, RoundTripsLargeValues)
-{
-    for (uint64_t value : {0xdeadbeefull, 0xffffffffull,
-                           0x123456789abcdefull, ~0ull}) {
-        EXPECT_EQ(fromGray(toGray(value)), value);
-    }
-}
-
 /** Naive bit-gather transpose: out row r, bit c = in row c, bit r.
  *  This pins the orientation convention (rows indexed by array
  *  position, columns by bit position, LSB = column 0) that the
