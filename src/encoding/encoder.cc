@@ -42,6 +42,27 @@ BusEncoder::BusEncoder(unsigned data_width)
         fatal("BusEncoder: data width %u outside [1, 62]", data_width);
 }
 
+void
+BusEncoder::reset(uint64_t initial_bus_word)
+{
+    last_bus_ = initial_bus_word & lowMask(busWidth());
+}
+
+void
+BusEncoder::captureState(std::vector<uint64_t> &out) const
+{
+    out.push_back(last_bus_);
+}
+
+bool
+BusEncoder::restoreState(std::span<const uint64_t> words)
+{
+    if (words.size() != 1)
+        return false;
+    last_bus_ = words[0];
+    return true;
+}
+
 unsigned
 adjacentCouplingCostReference(uint64_t prev, uint64_t next,
                               unsigned width)

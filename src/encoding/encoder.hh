@@ -79,29 +79,31 @@ class BusEncoder
      */
     virtual uint64_t decode(uint64_t bus_word) = 0;
 
-    /** Reset transmit/receive state to an initial bus word. */
-    virtual void reset(uint64_t initial_bus_word) = 0;
+    /** Reset the latched bus word, masked to busWidth(). */
+    void reset(uint64_t initial_bus_word);
 
     /**
-     * Append the encoder's full mutable state to `out` as opaque
-     * 64-bit words, for checkpoint/resume (sim/snapshot.hh). A
+     * Append the encoder's full mutable state, the one word
+     * last_bus_, to `out` for checkpoint/resume (sim/snapshot.hh). A
      * restored encoder continues the stream bit-identically to one
      * that never stopped.
      */
-    virtual void captureState(std::vector<uint64_t> &out) const = 0;
+    void captureState(std::vector<uint64_t> &out) const;
 
     /**
      * Restore state captured by captureState() on an identically
-     * configured encoder. Returns false when `words` has the wrong
-     * shape for this scheme (snapshots are read from files).
+     * configured encoder. Returns false unless `words` holds exactly
+     * one word (snapshots are read from files).
      */
-    virtual bool restoreState(std::span<const uint64_t> words) = 0;
+    bool restoreState(std::span<const uint64_t> words);
 
   protected:
     explicit BusEncoder(unsigned data_width);
 
     unsigned data_width_;
     uint64_t data_mask_;
+    /** The last transmitted bus word: every scheme's whole state. */
+    uint64_t last_bus_ = 0;
 };
 
 /**

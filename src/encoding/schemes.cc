@@ -52,12 +52,6 @@ UnencodedBus::decode(uint64_t bus_word)
     return bus_word & data_mask_;
 }
 
-void
-UnencodedBus::reset(uint64_t initial_bus_word)
-{
-    last_bus_ = initial_bus_word & data_mask_;
-}
-
 // ---------------------------------------------------------------- //
 // BusInvert
 
@@ -129,12 +123,6 @@ BusInvert::decode(uint64_t bus_word)
     uint64_t payload = bus_word & data_mask_;
     return bitOf(bus_word, data_width_) ? (~payload & data_mask_)
                                         : payload;
-}
-
-void
-BusInvert::reset(uint64_t initial_bus_word)
-{
-    last_bus_ = initial_bus_word & lowMask(busWidth());
 }
 
 // ---------------------------------------------------------------- //
@@ -236,12 +224,6 @@ OddEvenBusInvert::decode(uint64_t bus_word)
     return payload;
 }
 
-void
-OddEvenBusInvert::reset(uint64_t initial_bus_word)
-{
-    last_bus_ = initial_bus_word & lowMask(busWidth());
-}
-
 // ---------------------------------------------------------------- //
 // CouplingDrivenBusInvert
 
@@ -298,79 +280,6 @@ CouplingDrivenBusInvert::decode(uint64_t bus_word)
     uint64_t payload = bus_word & data_mask_;
     return bitOf(bus_word, data_width_) ? (~payload & data_mask_)
                                         : payload;
-}
-
-void
-CouplingDrivenBusInvert::reset(uint64_t initial_bus_word)
-{
-    last_bus_ = initial_bus_word & lowMask(busWidth());
-}
-
-// ------------------------------------------------------------------ //
-// Checkpoint state capture (encoder.hh captureState/restoreState).
-//
-// Every scheme's mutable state is the single word {last_bus_};
-// restoreState validates the word count so a malformed snapshot is
-// rejected instead of silently misinterpreted.
-
-void
-UnencodedBus::captureState(std::vector<uint64_t> &out) const
-{
-    out.push_back(last_bus_);
-}
-
-bool
-UnencodedBus::restoreState(std::span<const uint64_t> words)
-{
-    if (words.size() != 1)
-        return false;
-    last_bus_ = words[0];
-    return true;
-}
-
-void
-BusInvert::captureState(std::vector<uint64_t> &out) const
-{
-    out.push_back(last_bus_);
-}
-
-bool
-BusInvert::restoreState(std::span<const uint64_t> words)
-{
-    if (words.size() != 1)
-        return false;
-    last_bus_ = words[0];
-    return true;
-}
-
-void
-OddEvenBusInvert::captureState(std::vector<uint64_t> &out) const
-{
-    out.push_back(last_bus_);
-}
-
-bool
-OddEvenBusInvert::restoreState(std::span<const uint64_t> words)
-{
-    if (words.size() != 1)
-        return false;
-    last_bus_ = words[0];
-    return true;
-}
-
-void
-CouplingDrivenBusInvert::captureState(std::vector<uint64_t> &out) const
-{
-    out.push_back(last_bus_);
-}
-
-bool
-CouplingDrivenBusInvert::restoreState(std::span<const uint64_t> words)
-{
-    if (words.size() != 1)
-        return false;
-    last_bus_ = words[0];
-    return true;
 }
 
 } // namespace nanobus

@@ -29,12 +29,6 @@ class UnencodedBus : public BusEncoder
     void encodeBatch(std::span<const uint64_t> data,
                      std::span<uint64_t> bus) override;
     uint64_t decode(uint64_t bus_word) override;
-    void reset(uint64_t initial_bus_word) override;
-    void captureState(std::vector<uint64_t> &out) const override;
-    bool restoreState(std::span<const uint64_t> words) override;
-
-  private:
-    uint64_t last_bus_ = 0;
 };
 
 /**
@@ -53,12 +47,6 @@ class BusInvert : public BusEncoder
     void encodeBatch(std::span<const uint64_t> data,
                      std::span<uint64_t> bus) override;
     uint64_t decode(uint64_t bus_word) override;
-    void reset(uint64_t initial_bus_word) override;
-    void captureState(std::vector<uint64_t> &out) const override;
-    bool restoreState(std::span<const uint64_t> words) override;
-
-  private:
-    uint64_t last_bus_ = 0;
 };
 
 /**
@@ -78,15 +66,10 @@ class OddEvenBusInvert : public BusEncoder
     void encodeBatch(std::span<const uint64_t> data,
                      std::span<uint64_t> bus) override;
     uint64_t decode(uint64_t bus_word) override;
-    void reset(uint64_t initial_bus_word) override;
-    void captureState(std::vector<uint64_t> &out) const override;
-    bool restoreState(std::span<const uint64_t> words) override;
 
   private:
     uint64_t buildBusWord(uint64_t payload, bool invert_odd,
                           bool invert_even) const;
-
-    uint64_t last_bus_ = 0;
 };
 
 /**
@@ -108,12 +91,6 @@ class CouplingDrivenBusInvert : public BusEncoder
     void encodeBatch(std::span<const uint64_t> data,
                      std::span<uint64_t> bus) override;
     uint64_t decode(uint64_t bus_word) override;
-    void reset(uint64_t initial_bus_word) override;
-    void captureState(std::vector<uint64_t> &out) const override;
-    bool restoreState(std::span<const uint64_t> words) override;
-
-  private:
-    uint64_t last_bus_ = 0;
 };
 
 } // namespace nanobus

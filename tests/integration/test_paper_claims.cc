@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "energy/bus_energy.hh"
@@ -16,6 +17,7 @@
 #include "trace/profile.hh"
 #include "trace/synthetic.hh"
 #include "util/stats.hh"
+#include "vm/kernels.hh"
 
 namespace nanobus {
 namespace {
@@ -230,6 +232,67 @@ TEST(Fig3, AllPairAccountingRaisesEveryScheme)
                 << itrsNodeName(id) << " " << bench;
             EXPECT_GT(da_cbi, da_unencoded)
                 << itrsNodeName(id) << " " << bench;
+        }
+    }
+}
+
+/**
+ * A fresh VM loaded with one of the executed kernels, at the sizes
+ * examples/vm_workloads.cpp runs: a 24x24 matmul over filled inputs,
+ * or a walk of a 30,000-node list shuffled over 4 MB.
+ */
+std::unique_ptr<VirtualMachine>
+executedKernel(const std::string &name)
+{
+    using namespace kernels;
+    if (name == "matmul") {
+        auto vm = std::make_unique<VirtualMachine>(
+            buildMatMul(data_base, data_base + 0x100000,
+                        data_base + 0x200000, 24));
+        for (uint32_t i = 0; i < 24 * 24; ++i) {
+            vm->memory().storeWord(data_base + 4 * i, i + 1);
+            vm->memory().storeWord(data_base + 0x100000 + 4 * i,
+                                   2 * i + 1);
+        }
+        return vm;
+    }
+    VirtualMachine layout(buildListWalk(0));
+    const uint32_t head =
+        buildListInMemory(layout, data_base, 1 << 22, 30000, 3);
+    auto vm = std::make_unique<VirtualMachine>(buildListWalk(head));
+    buildListInMemory(*vm, data_base, 1 << 22, 30000, 3);
+    return vm;
+}
+
+TEST(Fig3, CbiCanBeWorseThanUnencodedOnExecutedCode)
+{
+    // Sec 5.2: coupling-driven bus invert can dissipate more than an
+    // unencoded bus. The synthetic DA streams never show it; the DA
+    // streams of executed code do, at every node and under both NN
+    // (radius 1) and All (radius 31) accounting. Measured CBI /
+    // Unencoded: matmul 1.098-1.111, listwalk 1.039-1.047. CBI
+    // inverts to cut adjacent coupling cost alone: it saves 2-6% of
+    // the coupling energy but pays 14-23% more self energy.
+    for (ItrsNode id : allItrsNodes()) {
+        for (unsigned radius : {1u, 31u}) {
+            for (const char *kernel : {"matmul", "listwalk"}) {
+                auto da_energy = [&](EncodingScheme scheme) {
+                    BusSimConfig config;
+                    config.scheme = scheme;
+                    config.coupling_radius = radius;
+                    config.interval_cycles = 10000;
+                    config.record_samples = false;
+                    config.thermal.stack_mode = StackMode::None;
+                    TwinBusSimulator twin(itrsNode(id), config);
+                    twin.run(*executedKernel(kernel));
+                    return twin.dataBus().totalEnergy().total();
+                };
+                const double ratio =
+                    da_energy(EncodingScheme::CouplingDrivenBusInvert) /
+                    da_energy(EncodingScheme::Unencoded);
+                EXPECT_GT(ratio, 1.03) << itrsNodeName(id) << " radius "
+                                       << radius << " " << kernel;
+            }
         }
     }
 }

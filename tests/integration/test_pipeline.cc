@@ -1,14 +1,13 @@
 /**
  * @file
  * End-to-end pipeline tests: generator -> trace file -> simulator,
- * and generator -> cache hierarchy -> L1-L2 bus simulator.
+ * and VM-executed kernels -> simulator.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
-#include "cache/hierarchy.hh"
 #include "sim/experiment.hh"
 #include "trace/io.hh"
 #include "trace/profile.hh"
@@ -62,36 +61,6 @@ TEST(Pipeline, TraceFileRoundTripGivesIdenticalEnergy)
     EXPECT_DOUBLE_EQ(live.dataBus().totalEnergy().total().raw(),
                      replay.dataBus().totalEnergy().total().raw());
     std::remove(path.c_str());
-}
-
-TEST(Pipeline, CacheHierarchyDrivesL1L2Bus)
-{
-    // The extension study: L1-L2 address bus traffic extracted from
-    // the hierarchy feeds a third bus simulator.
-    CacheHierarchy hierarchy;
-    BusSimulator l2_bus(tech130, fastConfig());
-    uint64_t last_cycle = 0;
-    hierarchy.setL2BusListener(
-        [&](uint64_t cycle, uint32_t addr, bool) {
-            // Multiple L2 transactions can share a cycle (fill +
-            // write-through); serialize them onto the bus in order.
-            if (cycle < last_cycle)
-                cycle = last_cycle;
-            l2_bus.transmit(cycle, addr);
-            last_cycle = cycle;
-        });
-
-    SyntheticCpu cpu(benchmarkProfile("mcf"), 73, 50000);
-    TraceRecord r;
-    while (cpu.next(r))
-        hierarchy.access(r);
-
-    EXPECT_GT(l2_bus.transmissions(), 100u);
-    EXPECT_GT(l2_bus.totalEnergy().total().raw(), 0.0);
-    // L2 traffic is a filtered subset of processor traffic.
-    EXPECT_LT(l2_bus.transmissions(),
-              hierarchy.l1i().stats().accesses() +
-              hierarchy.l1d().stats().accesses());
 }
 
 TEST(Pipeline, EncodedBusesDecodeBackToTheTrace)
@@ -204,35 +173,6 @@ TEST(Pipeline, BusInvertRunsTheDataBusCooler)
     double bi = avg_temp(EncodingScheme::BusInvert);
     EXPECT_GT(plain, 318.15 + 0.02); // something to save
     EXPECT_LT(bi, plain);
-}
-
-TEST(Pipeline, VmKernelsThroughTheCacheHierarchy)
-{
-    // Execution-driven traffic through the paper's memory system:
-    // a streaming kernel caches well, a scattered list walk poorly.
-    auto l1d_miss_rate = [](VirtualMachine &vm) {
-        CacheHierarchy hierarchy;
-        TraceRecord r;
-        while (vm.next(r))
-            hierarchy.access(r);
-        return hierarchy.l1d().stats().missRate();
-    };
-
-    VirtualMachine stream(kernels::buildStridedSum(
-        kernels::data_base, 20000, 1));
-
-    VirtualMachine seed_vm(kernels::buildListWalk(0));
-    uint32_t head = kernels::buildListInMemory(
-        seed_vm, kernels::data_base, 1 << 22, 20000, 9);
-    VirtualMachine walker(kernels::buildListWalk(head));
-    kernels::buildListInMemory(walker, kernels::data_base, 1 << 22,
-                               20000, 9);
-
-    double stream_rate = l1d_miss_rate(stream);
-    double walk_rate = l1d_miss_rate(walker);
-    EXPECT_LT(stream_rate, 0.2);  // unit stride: 1 miss per block
-    EXPECT_GT(walk_rate, 0.4);    // scattered 4 MB region
-    EXPECT_GT(walk_rate, 3.0 * stream_rate);
 }
 
 TEST(Pipeline, AllBenchmarksRunAllSchemes)
